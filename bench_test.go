@@ -783,3 +783,115 @@ func BenchmarkPerturbParallel(b *testing.B) {
 	}
 	b.ReportMetric(float64(census.DB.N()), "records/op")
 }
+
+// --- Boolean core: pattern-count gather ---
+
+// benchWideBinarySchema has 20 binary attributes (40 boolean columns),
+// the widest itemsets the boolean core accepts.
+func benchWideBinarySchema(b *testing.B) *dataset.Schema {
+	attrs := make([]dataset.Attribute, 20)
+	for j := range attrs {
+		attrs[j] = dataset.Attribute{Name: fmt.Sprintf("b%02d", j), Categories: []string{"no", "yes"}}
+	}
+	s, err := dataset.NewSchema("wide-binary", attrs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// benchMaskCounter MASK-perturbs db and ingests it into a one-shard
+// live counter, so a read gathers exactly one core.
+func benchMaskCounter(b *testing.B, db *dataset.Database) *mining.ShardedCounter {
+	scheme, err := mining.SchemeForContract(mining.SchemeMask, db.Schema, 19)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms := scheme.(*mining.MaskCounterScheme).Mask()
+	bdb, err := ms.PerturbDatabase(db, rand.New(rand.NewSource(31)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctr, err := mining.NewShardedCounter(scheme, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range bdb.Rows {
+		var items []mining.Item
+		for j, a := range db.Schema.Attrs {
+			for v := range a.Categories {
+				if row&(1<<uint(ms.Mapping.Offsets[j]+v)) != 0 {
+					items = append(items, mining.Item{Attr: j, Value: v})
+				}
+			}
+		}
+		if err := ctr.Ingest(items); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return ctr
+}
+
+// benchFilters draws count itemsets with arity in [lo, hi].
+func benchFilters(b *testing.B, s *dataset.Schema, count, lo, hi int, rng *rand.Rand) []mining.Itemset {
+	out := make([]mining.Itemset, count)
+	for i := range out {
+		arity := lo + rng.Intn(hi-lo+1)
+		items := make([]mining.Item, arity)
+		for k, j := range rng.Perm(s.M())[:arity] {
+			items[k] = mining.Item{Attr: j, Value: rng.Intn(s.Attrs[j].Cardinality())}
+		}
+		f, err := mining.NewItemset(items...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out[i] = f
+	}
+	return out
+}
+
+// BenchmarkBoolGather measures the MASK/C&P read path below the
+// estimator: the 2^l pattern counts of every filter in a batch, over a
+// MASK-perturbed collection of n records. census/arity1-4 is a
+// /v1/query-sized batch of 32 filters; census/arity6 fills all 2^6
+// patterns; wide/len20 enumerates the 2^20 patterns of the longest
+// itemset the core accepts, on a 20-binary-attribute schema.
+func BenchmarkBoolGather(b *testing.B) {
+	wide := benchWideBinarySchema(b)
+	for _, n := range []int{9000, 100000} {
+		census, err := dataset.GenerateCensus(n, 21)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(41))
+		wideDB := dataset.NewDatabase(wide, n)
+		for i := 0; i < n; i++ {
+			rec := make(dataset.Record, wide.M())
+			for j := range rec {
+				rec[j] = rng.Intn(2)
+			}
+			if err := wideDB.Append(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		censusCtr, wideCtr := benchMaskCounter(b, census), benchMaskCounter(b, wideDB)
+		cases := []struct {
+			name    string
+			ctr     *mining.ShardedCounter
+			filters []mining.Itemset
+		}{
+			{"census/arity1-4", censusCtr, benchFilters(b, census.Schema, 32, 1, 4, rng)},
+			{"census/arity6", censusCtr, benchFilters(b, census.Schema, 32, 6, 6, rng)},
+			{"wide/len20", wideCtr, benchFilters(b, wide, 1, 20, 20, rng)},
+		}
+		for _, c := range cases {
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				for b.Loop() {
+					if _, _, err := c.ctr.PerturbedSupports(c.filters); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

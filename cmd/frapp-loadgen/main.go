@@ -233,9 +233,8 @@ func selfHostHandler(cfg *loadgen.Config, pop *loadgen.Population, reg *telemetr
 		tenants.Close()
 		return nil, nil, err
 	}
-	// The client's first request is GET /v1/schema; wait out WAL
-	// recovery so it can't race a 503.
-	if err := col.AwaitReady(); err != nil {
+	// Create has built the collection; surface a failed build.
+	if err := col.Ready(); err != nil {
 		tenants.Close()
 		return nil, nil, err
 	}

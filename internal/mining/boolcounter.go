@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,12 +27,33 @@ import (
 // replication-delta protocol speaks (cell index = row bitset), so MASK
 // and C&P counters get sharding, persistence, and federation through the
 // same plumbing as gamma. Safe for concurrent use.
+//
+// The histogram is stored column-wise so reads cost popcounts, not a
+// walk over every row. Each distinct row owns an append-only slot; per
+// 64-slot word the core keeps one bitmap per boolean column (which slots
+// have that bit set) and the multiplicities as bit-planes (plane b holds
+// bit b of every slot's count). A length-l pattern count over one word
+// is then Σ_b popcount(group & plane_b) << b, where group is the AND /
+// AND-NOT of the l column words — exact integer arithmetic, so every
+// count, and every estimate built from it, is bit-identical to a per-row
+// scan. (Itemsets longer than denseMaxLen scan the slots instead; see
+// gatherSparse.)
 type boolCore struct {
-	est boolEstimator
+	est   boolEstimator
+	mb    int   // boolean columns, the stride of cols
+	cards []int // category count per attribute, for rowOf
 
 	mu   sync.RWMutex
 	n    int
-	rows map[uint64]float64
+	slot map[uint64]int32 // row bitset → slot
+	rows []uint64         // slot → row bitset
+	// cols holds the column bitmaps word-major: bit s%64 of
+	// cols[(s/64)*mb+j] is bit j of rows[s].
+	cols []uint64
+	// planes[b][s/64] holds bit b of slot s's multiplicity at bit s%64.
+	// Every slot's count is at least 1, and len(planes) is the bit
+	// length of the largest count.
+	planes [][]uint64
 }
 
 // boolEstimator is the per-scheme reconstruction behind a boolCore:
@@ -53,7 +76,82 @@ type boolEstimator interface {
 }
 
 func newBoolCore(est boolEstimator) *boolCore {
-	return &boolCore{est: est, rows: make(map[uint64]float64)}
+	m := est.mapping()
+	cards := make([]int, m.Schema.M())
+	for j, a := range m.Schema.Attrs {
+		cards[j] = a.Cardinality()
+	}
+	return &boolCore{est: est, mb: m.Mb, cards: cards, slot: make(map[uint64]int32)}
+}
+
+// maxBoolCellCount bounds one joint cell's multiplicity crossing a trust
+// boundary: every integer up to 2^53 is exact in a float64, so counts
+// and the pattern sums built from them stay exact.
+const maxBoolCellCount = 1 << 53
+
+// boolCellCount checks that a cell count read from a delta or a saved
+// state is an exact positive integer the bit-planes can hold.
+func boolCellCount(v float64, idx uint64) error {
+	if !(v > 0 && v <= maxBoolCellCount && v == math.Trunc(v)) {
+		return fmt.Errorf("%w: cell count %v at index %d is not an integer in [1, 2^53]", ErrMining, v, idx)
+	}
+	return nil
+}
+
+// words returns the number of 64-slot words in use.
+func (c *boolCore) words() int { return (len(c.rows) + 63) >> 6 }
+
+// slotFor returns row's slot, appending a fresh one (count 0, column
+// bits set) on first sight. Called with mu held for writing.
+func (c *boolCore) slotFor(row uint64) int {
+	if s, ok := c.slot[row]; ok {
+		return int(s)
+	}
+	s := len(c.rows)
+	c.slot[row] = int32(s)
+	c.rows = append(c.rows, row)
+	w := s >> 6
+	if s&63 == 0 {
+		c.cols = append(c.cols, make([]uint64, c.mb)...)
+		for b := range c.planes {
+			c.planes[b] = append(c.planes[b], 0)
+		}
+	}
+	bit := uint64(1) << uint(s&63)
+	for r := row; r != 0; r &= r - 1 {
+		c.cols[w*c.mb+bits.TrailingZeros64(r)] |= bit
+	}
+	return s
+}
+
+// count returns slot s's multiplicity, read back from the bit-planes.
+func (c *boolCore) count(s int) uint64 {
+	w, sh := s>>6, uint(s&63)
+	var cnt uint64
+	for b, plane := range c.planes {
+		cnt |= (plane[w] >> sh & 1) << uint(b)
+	}
+	return cnt
+}
+
+// add raises slot s's multiplicity by k: a ripple-carry addition into
+// the slot's bit of each plane, which touches only the planes of k's
+// bits and the carry chain (one plane for most increments by 1). Called
+// with mu held for writing.
+func (c *boolCore) add(s int, k uint64) {
+	w, bit := s>>6, uint64(1)<<uint(s&63)
+	carry := false
+	for b := 0; k != 0 || carry; b, k = b+1, k>>1 {
+		if b == len(c.planes) {
+			c.planes = append(c.planes, make([]uint64, c.words()))
+		}
+		p := &c.planes[b][w]
+		old, in := *p&bit != 0, k&1 != 0
+		if in != carry {
+			*p ^= bit
+		}
+		carry = old && (in || carry) || in && carry
+	}
 }
 
 // Schema returns the categorical schema behind the boolean encoding.
@@ -77,21 +175,13 @@ func (c *boolCore) N() int {
 // independently and C&P pastes arbitrary item sets — including the
 // empty set.
 func (c *boolCore) Ingest(items []Item) error {
-	m := c.est.mapping()
-	var row uint64
-	for _, it := range items {
-		b, err := m.Bit(it.Attr, it.Value)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrMining, err)
-		}
-		if row&(1<<uint(b)) != 0 {
-			return fmt.Errorf("%w: duplicate item (attr %d, value %d) in perturbed record", ErrMining, it.Attr, it.Value)
-		}
-		row |= 1 << uint(b)
+	row, err := c.rowOf(items)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrMining, err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rows[row]++
+	c.add(c.slotFor(row), 1)
 	c.n++
 	return nil
 }
@@ -108,23 +198,34 @@ func (p boolPrepared) recordCount() int { return len(p.rows) }
 // duplicates) and packs it into its row bitset without touching counter
 // state.
 func (c *boolCore) prepareIngest(records [][]Item) (preparedIngest, error) {
-	m := c.est.mapping()
 	rows := make([]uint64, len(records))
 	for i, items := range records {
-		var row uint64
-		for _, it := range items {
-			b, err := m.Bit(it.Attr, it.Value)
-			if err != nil {
-				return nil, fmt.Errorf("%w: record %d: %v", ErrMining, i, err)
-			}
-			if row&(1<<uint(b)) != 0 {
-				return nil, fmt.Errorf("%w: record %d: duplicate item (attr %d, value %d) in perturbed record", ErrMining, i, it.Attr, it.Value)
-			}
-			row |= 1 << uint(b)
+		row, err := c.rowOf(items)
+		if err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", ErrMining, i, err)
 		}
 		rows[i] = row
 	}
 	return boolPrepared{rows: rows}, nil
+}
+
+// rowOf packs one perturbed record's item list into its row bitset,
+// rejecting out-of-range and duplicate items.
+func (c *boolCore) rowOf(items []Item) (uint64, error) {
+	m := c.est.mapping()
+	var row uint64
+	for _, it := range items {
+		if uint(it.Attr) >= uint(len(c.cards)) || uint(it.Value) >= uint(c.cards[it.Attr]) {
+			_, err := m.Bit(it.Attr, it.Value)
+			return 0, err
+		}
+		b := m.Offsets[it.Attr] + it.Value
+		if row&(1<<uint(b)) != 0 {
+			return 0, fmt.Errorf("duplicate item (attr %d, value %d) in perturbed record", it.Attr, it.Value)
+		}
+		row |= 1 << uint(b)
+	}
+	return row, nil
 }
 
 // ingestPrepared folds rows [lo, hi) of a prepared batch into the joint
@@ -136,7 +237,7 @@ func (c *boolCore) ingestPrepared(p preparedIngest, lo, hi int) time.Duration {
 	wait := time.Since(t0)
 	defer c.mu.Unlock()
 	for _, row := range rows {
-		c.rows[row]++
+		c.add(c.slotFor(row), 1)
 	}
 	c.n += len(rows)
 	return wait
@@ -184,51 +285,80 @@ func (c *boolCore) Merge(other CounterCore) error {
 	defer c.mu.Unlock()
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	for row, cnt := range o.rows {
-		c.rows[row] += cnt
-	}
-	c.n += o.n
+	o.addSlotsInto(c)
 	return nil
 }
 
 // ApplyDelta folds a replication delta into the core: every cell is a
-// batch of Count perturbed rows with bitset Idx.
+// batch of Count perturbed rows with bitset Idx. Counts must be exact
+// integers in [1, 2^53]; any other cell rejects the whole delta with
+// the core untouched.
 func (c *boolCore) ApplyDelta(d *CounterDelta) error {
 	if err := validateDelta(d, c.Fingerprint()); err != nil {
 		return err
 	}
-	limit := uint64(1) << uint(c.est.mapping().Mb)
 	for _, cell := range d.Cells {
-		if cell.Idx >= limit {
-			return fmt.Errorf("%w: delta cell index %d outside boolean domain 2^%d", ErrMining, cell.Idx, c.est.mapping().Mb)
+		if !c.inDomain(cell.Idx) {
+			return fmt.Errorf("%w: delta cell index %d outside boolean domain 2^%d", ErrMining, cell.Idx, c.mb)
+		}
+		if err := boolCellCount(cell.Count, cell.Idx); err != nil {
+			return err
 		}
 	}
+	c.applyCells(d.Cells, d.Records)
+	return nil
+}
+
+// inDomain reports whether idx is a row bitset over the core's mb
+// columns.
+func (c *boolCore) inDomain(idx uint64) bool { return c.mb >= 64 || idx>>uint(c.mb) == 0 }
+
+// applyCells adds pre-validated joint cells (positive integer counts,
+// in-domain indices) and their record count under one lock acquisition.
+func (c *boolCore) applyCells(cells []DeltaCell, records int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, cell := range d.Cells {
-		c.rows[cell.Idx] += cell.Count
+	for _, cell := range cells {
+		c.add(c.slotFor(cell.Idx), uint64(cell.Count))
 	}
-	c.n += d.Records
-	return nil
+	c.n += records
+}
+
+// addSlotsInto adds every slot of c into dst, in slot order, plus c's
+// record count. Called with c's lock held for reading and dst either
+// locked for writing or unshared.
+func (c *boolCore) addSlotsInto(dst *boolCore) {
+	if len(dst.rows) == 0 {
+		// An empty destination copies the layout wholesale.
+		dst.slot = maps.Clone(c.slot)
+		dst.rows = slices.Clone(c.rows)
+		dst.cols = slices.Clone(c.cols)
+		dst.planes = make([][]uint64, len(c.planes))
+		for b, plane := range c.planes {
+			dst.planes[b] = slices.Clone(plane)
+		}
+		dst.n += c.n
+		return
+	}
+	for s, row := range c.rows {
+		dst.add(dst.slotFor(row), c.count(s))
+	}
+	dst.n += c.n
 }
 
 // foldInto adds this core's state into dst (a fresh unshared core).
 func (c *boolCore) foldInto(dst CounterCore) {
-	d := dst.(*boolCore)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for row, cnt := range c.rows {
-		d.rows[row] += cnt
-	}
-	d.n += c.n
+	c.addSlotsInto(dst.(*boolCore))
 }
 
 // addJointInto folds the sparse joint histogram into the accumulator.
 func (c *boolCore) addJointInto(joint map[uint64]float64) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for row, cnt := range c.rows {
-		joint[row] += cnt
+	for s, row := range c.rows {
+		joint[row] += float64(c.count(s))
 	}
 	return c.n
 }
@@ -238,19 +368,17 @@ func (c *boolCore) addJointInto(joint map[uint64]float64) int {
 func (c *boolCore) saveShard() shardState {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	cells := make([]DeltaCell, 0, len(c.rows))
-	for row, cnt := range c.rows {
-		if cnt != 0 {
-			cells = append(cells, DeltaCell{Idx: row, Count: cnt})
-		}
+	cells := make([]DeltaCell, len(c.rows))
+	for s, row := range c.rows {
+		cells[s] = DeltaCell{Idx: row, Count: float64(c.count(s))}
 	}
 	sort.Slice(cells, func(i, j int) bool { return cells[i].Idx < cells[j].Idx })
 	return shardState{N: c.n, Cells: cells}
 }
 
 // restoreShard validates one saved shard payload — cell ranges,
-// positivity, and the record-count sum — and folds it in. Callers
-// restore into freshly built counters only.
+// integer counts in [1, 2^53], and the record-count sum — and folds it
+// in. Callers restore into freshly built counters only.
 func (c *boolCore) restoreShard(sh shardState) error {
 	if sh.N < 0 {
 		return fmt.Errorf("%w: negative record count %d", ErrMining, sh.N)
@@ -258,26 +386,20 @@ func (c *boolCore) restoreShard(sh shardState) error {
 	if len(sh.Hists) != 0 {
 		return fmt.Errorf("%w: state carries dense histograms, not a boolean counter payload", ErrMining)
 	}
-	limit := uint64(1) << uint(c.est.mapping().Mb)
 	var sum float64
 	for _, cell := range sh.Cells {
-		if cell.Idx >= limit {
-			return fmt.Errorf("%w: state cell index %d outside boolean domain 2^%d", ErrMining, cell.Idx, c.est.mapping().Mb)
+		if !c.inDomain(cell.Idx) {
+			return fmt.Errorf("%w: state cell index %d outside boolean domain 2^%d", ErrMining, cell.Idx, c.mb)
 		}
-		if cell.Count <= 0 {
-			return fmt.Errorf("%w: non-positive state cell count %v at index %d", ErrMining, cell.Count, cell.Idx)
+		if err := boolCellCount(cell.Count, cell.Idx); err != nil {
+			return err
 		}
 		sum += cell.Count
 	}
 	if diff := sum - float64(sh.N); diff > 1e-6 || diff < -1e-6 {
 		return fmt.Errorf("%w: state cells total %v, want %d records", ErrMining, sum, sh.N)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cell := range sh.Cells {
-		c.rows[cell.Idx] += cell.Count
-	}
-	c.n += sh.N
+	c.applyCells(sh.Cells, sh.N)
 	return nil
 }
 
@@ -358,27 +480,80 @@ func (c *boolCore) prepare(candidates []Itemset) (counterBatch, error) {
 	return b, nil
 }
 
+// denseMaxLen is the longest itemset whose pattern counts are gathered
+// word-parallel: its 2^l ≤ 64 slot groups per word are all
+// materialized.
+const denseMaxLen = 6
+
 // gather folds this core's pattern counts into the batch under the
-// core's read lock: one sweep over the distinct perturbed rows serves
-// every candidate.
+// core's read lock, one sweep of the slots per candidate.
 func (c *boolCore) gather(cb counterBatch) {
 	b := cb.(*boolBatch)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	b.total += c.n
-	for row, cnt := range c.rows {
-		for i, pos := range b.bitPos {
-			if pos == nil {
-				continue
-			}
-			idx := 0
-			for k, bit := range pos {
-				if row&(1<<uint(bit)) != 0 {
-					idx |= 1 << uint(k)
-				}
-			}
-			b.counts[i][idx] += cnt
+	for i, pos := range b.bitPos {
+		switch {
+		case pos == nil:
+		case len(pos) <= denseMaxLen:
+			c.gatherDense(pos, b.counts[i])
+		default:
+			c.gatherSparse(pos, b.counts[i])
 		}
+	}
+}
+
+// gatherDense materializes all 2^l ≤ 64 pattern groups of each word:
+// l rounds of AND / AND-NOT by the candidate's column words split the
+// word's slots by pattern, and a group's count is the sum of its
+// popcounts against the word's non-zero bit-planes, each shifted by its
+// plane's weight. Unused slots carry no plane bits, so they count
+// nothing. Items are split last-first, so group j of the final round
+// is exactly pattern index j (bit k set ⇔ item k present).
+func (c *boolCore) gatherDense(pos []int, out []float64) {
+	var acc, g [1 << denseMaxLen]uint64
+	var planes [64]uint64
+	var weights [64]uint
+	for w, nw := 0, c.words(); w < nw; w++ {
+		np := 0
+		for b, plane := range c.planes {
+			if plane[w] != 0 {
+				planes[np], weights[np] = plane[w], uint(b)
+				np++
+			}
+		}
+		cols := c.cols[w*c.mb : (w+1)*c.mb]
+		g[0] = ^uint64(0)
+		n := 1
+		for k := len(pos) - 1; k >= 0; k-- {
+			col := cols[pos[k]]
+			for j := n - 1; j >= 0; j-- {
+				g[2*j+1] = g[j] & col
+				g[2*j] = g[j] &^ col
+			}
+			n *= 2
+		}
+		for j := 0; j < n; j++ {
+			for q := 0; q < np; q++ {
+				acc[j] += uint64(bits.OnesCount64(g[j]&planes[q])) << weights[q]
+			}
+		}
+	}
+	for j := range out {
+		out[j] += float64(acc[j])
+	}
+}
+
+// gatherSparse serves itemsets longer than denseMaxLen. Their 2^l
+// groups per word would be almost all empty, so it visits each slot
+// once instead and reads the pattern index straight off the slot's row.
+func (c *boolCore) gatherSparse(pos []int, out []float64) {
+	for s, row := range c.rows {
+		idx := 0
+		for k, p := range pos {
+			idx |= int(row>>uint(p)&1) << uint(k)
+		}
+		out[idx] += float64(c.count(s))
 	}
 }
 

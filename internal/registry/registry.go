@@ -294,8 +294,8 @@ type Registry struct {
 	everNamed map[string]bool
 	closed    bool
 
-	// buildDelay, when non-nil, runs at the head of every background
-	// build — the test seam for driving slow-recovery readiness.
+	// buildDelay, when non-nil, runs at the head of every build — the
+	// test seam for driving slow-recovery readiness and slow creates.
 	buildDelay func(name string)
 }
 
@@ -366,10 +366,13 @@ func (r *Registry) Adopt(name string, srv *service.Server) (*Collection, error) 
 	return col, nil
 }
 
-// Create registers a new named collection and starts building it in
-// the background. It is idempotent: re-PUTting an identical spec
-// returns the existing collection (created=false); a different spec
-// under a live name is a conflict, never an overwrite.
+// Create registers a new named collection and builds it before
+// returning, so a caller acting on the result finds the collection
+// serving (or failed) — never still recovering. It is idempotent:
+// re-PUTting an identical spec returns the existing collection
+// (created=false) once its build has finished; a different spec under
+// a live name is a conflict, never an overwrite. The build runs outside
+// the registry lock, so other collections stay manageable meanwhile.
 func (r *Registry) Create(name string, spec CollectionSpec) (col *Collection, created bool, err error) {
 	if !nameRE.MatchString(name) {
 		return nil, false, fmt.Errorf("%w: bad collection name %q (want %s)", ErrRegistry, name, nameRE)
@@ -377,6 +380,24 @@ func (r *Registry) Create(name string, spec CollectionSpec) (col *Collection, cr
 	if err := spec.normalize(); err != nil {
 		return nil, false, err
 	}
+	col, created, err = r.register(name, spec)
+	if err != nil {
+		return nil, false, err
+	}
+	// A failed build is not an error of Create: the collection stays
+	// registered and reports state "failed", as at boot.
+	if created {
+		r.build(col)
+	} else {
+		_ = col.AwaitReady()
+	}
+	return col, created, nil
+}
+
+// register is Create's locked half: it validates the name against the
+// live set and the caps, records the collection, and persists the
+// manifest. created=false returns the existing identical collection.
+func (r *Registry) register(name string, spec CollectionSpec) (col *Collection, created bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -406,7 +427,6 @@ func (r *Registry) Create(name string, spec CollectionSpec) (col *Collection, cr
 		delete(r.collections, name)
 		return nil, false, err
 	}
-	go r.build(col)
 	return col, true, nil
 }
 
@@ -536,8 +556,9 @@ func (r *Registry) tenantDir(name string) string {
 	return filepath.Join(r.baseDir, "tenants", name)
 }
 
-// build constructs the collection's server in the background and
-// publishes the outcome by closing ready.
+// build constructs the collection's server and publishes the outcome
+// by closing ready — synchronously for Create, in the background for
+// the manifest replay at start.
 func (r *Registry) build(col *Collection) {
 	if d := r.buildDelay; d != nil {
 		d(col.name)

@@ -529,3 +529,75 @@ func TestRegistryTenantChurn(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCreateServesOnReturn pins that a PUT answers only once the
+// collection is built: for every scheme, with a slow build, a client
+// acting on the 201 at once gets a serving collection (not a 503), and
+// an identical PUT racing the build answers 200 only once it is ready.
+func TestCreateServesOnReturn(t *testing.T) {
+	for _, scheme := range []string{"gamma", "mask", "cutpaste"} {
+		t.Run(scheme, func(t *testing.T) {
+			reg, ts := startRegistry(t, Options{BaseDir: t.TempDir()})
+			entered, gate := make(chan struct{}), make(chan struct{})
+			reg.buildDelay = func(string) {
+				close(entered)
+				<-gate
+			}
+			spec := testSpec()
+			spec.Scheme = scheme
+			name := "slow-" + scheme
+
+			body, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type answer struct {
+				status int
+				body   []byte
+			}
+			put := func(out chan<- answer) {
+				req, _ := http.NewRequest("PUT", ts.URL+"/v1/collections/"+name, bytes.NewReader(body))
+				resp, err := ts.Client().Do(req)
+				if err != nil {
+					out <- answer{}
+					return
+				}
+				defer resp.Body.Close()
+				b, _ := io.ReadAll(resp.Body)
+				out <- answer{resp.StatusCode, b}
+			}
+			first, second := make(chan answer), make(chan answer)
+			go put(first)
+			<-entered
+			// An identical PUT issued while the first build is held open
+			// must wait for that build (or, arriving after it, find the
+			// collection ready).
+			go put(second)
+			close(gate)
+
+			for i, ch := range []chan answer{first, second} {
+				want := []int{http.StatusCreated, http.StatusOK}[i]
+				a := <-ch
+				if a.status != want {
+					t.Fatalf("PUT %d: status %d, want %d (%s)", i+1, a.status, want, a.body)
+				}
+				var info CollectionInfo
+				if err := json.Unmarshal(a.body, &info); err != nil {
+					t.Fatal(err)
+				}
+				if info.State != "ready" {
+					t.Fatalf("PUT %d answered with state %q, want ready", i+1, info.State)
+				}
+			}
+			client := collectionClient(t, ts, name)
+			ingestSeeded(t, client, 30, 5)
+			est, err := client.Query(service.QueryFilter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.N != 30 {
+				t.Fatalf("N=%d after ingesting 30", est.N)
+			}
+		})
+	}
+}

@@ -15,13 +15,13 @@ import (
 func TestJobStoreCloseFailsQueuedJobsTerminally(t *testing.T) {
 	running := make(chan struct{}, 1)
 	var st *jobStore
-	st = newJobStore(1, time.Minute, func(MineParams) (*MineResponse, uint64, bool, error) {
+	st = newJobStore(1, time.Minute, func(MineParams) (*mineOutcome, error) {
 		select { // non-blocking: the exiting worker may run several jobs
 		case running <- struct{}{}:
 		default:
 		}
 		<-st.quit // block the worker until close() begins
-		return &MineResponse{}, 1, false, nil
+		return &mineOutcome{version: 1}, nil
 	})
 
 	p := MineParams{MinSupport: 0.1, Limit: 10}

@@ -128,16 +128,57 @@ type job struct {
 	params  MineParams
 	done    chan struct{} // closed on terminal state
 	state   string
-	version uint64
-	cached  bool
 	created time.Time
 	// started is when a worker picked the job up — the boundary between
 	// the queued and running durations the state-latency metrics record.
 	started time.Time
 	// finished is the eviction clock: TTL counts from terminal state.
 	finished time.Time
-	result   *MineResponse
+	out      *mineOutcome
 	err      error
+}
+
+// mineOutcome is a finished mine in compact form — what a job retains
+// for its TTL instead of the rendered response, which costs one
+// category-name map per itemset. The response is rendered from it each
+// time it is served (see Server.renderMine).
+type mineOutcome struct {
+	// counts is the number of frequent itemsets of each length.
+	counts []int
+	// items and supports hold the first limit frequent itemsets in
+	// response order (by length, then key): itemset i has support
+	// supports[i], and its items follow those of itemset i-1 in items.
+	// Itemsets of length-index k have k+1 items, so counts delimits them.
+	items    []keptItem
+	supports []float64
+	// rules are the association rules at the job's minconf, truncated to
+	// its limit; nil without minconf. They are generated when the job
+	// runs, so a rule-generation error fails the job.
+	rules   []keptRule
+	records int
+	// version is the counter version the result is exact for; cached
+	// reports a result-cache hit.
+	version uint64
+	cached  bool
+	// vector is a federation coordinator's replication position vector.
+	vector map[string]uint64
+}
+
+// keptItem is a mining.Item packed to half its size for retention.
+type keptItem struct{ attr, value int32 }
+
+// keptRule is a mining.Rule as a job retains it.
+type keptRule struct {
+	antecedent, consequent []keptItem
+	support, confidence    float64
+}
+
+// keepItems packs an itemset for retention.
+func keepItems(set mining.Itemset, dst []keptItem) []keptItem {
+	for _, it := range set {
+		dst = append(dst, keptItem{attr: int32(it.Attr), value: int32(it.Value)})
+	}
+	return dst
 }
 
 // mineKey identifies one cacheable mining computation: the counter
@@ -191,7 +232,7 @@ type jobStore struct {
 }
 
 // newJobStore starts the worker pool; run executes one mining request.
-func newJobStore(workers int, ttl time.Duration, run func(MineParams) (*MineResponse, uint64, bool, error)) *jobStore {
+func newJobStore(workers int, ttl time.Duration, run func(MineParams) (*mineOutcome, error)) *jobStore {
 	if workers <= 0 {
 		workers = defaultJobWorkers
 	}
@@ -214,7 +255,7 @@ func newJobStore(workers int, ttl time.Duration, run func(MineParams) (*MineResp
 	return st
 }
 
-func (st *jobStore) worker(run func(MineParams) (*MineResponse, uint64, bool, error)) {
+func (st *jobStore) worker(run func(MineParams) (*mineOutcome, error)) {
 	defer st.wg.Done()
 	for {
 		select {
@@ -222,8 +263,8 @@ func (st *jobStore) worker(run func(MineParams) (*MineResponse, uint64, bool, er
 			return
 		case j := <-st.queue:
 			st.setRunning(j)
-			resp, version, cached, err := run(j.params)
-			st.finish(j, resp, version, cached, err)
+			out, err := run(j.params)
+			st.finish(j, out, err)
 		}
 	}
 }
@@ -245,7 +286,7 @@ func (st *jobStore) close() {
 	for {
 		select {
 		case j := <-st.queue:
-			st.finish(j, nil, 0, false, errServerClosed)
+			st.finish(j, nil, errServerClosed)
 		default:
 			return
 		}
@@ -308,14 +349,12 @@ func (st *jobStore) setRunning(j *job) {
 	}
 }
 
-func (st *jobStore) finish(j *job, resp *MineResponse, version uint64, cached bool, err error) {
+func (st *jobStore) finish(j *job, out *mineOutcome, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if j.state == JobDone || j.state == JobFailed {
 		return
 	}
-	j.version = version
-	j.cached = cached
 	j.finished = st.now()
 	if st.met != nil {
 		if !j.started.IsZero() {
@@ -332,7 +371,7 @@ func (st *jobStore) finish(j *job, resp *MineResponse, version uint64, cached bo
 		j.err = err
 	} else {
 		j.state = JobDone
-		j.result = resp
+		j.out = out
 	}
 	close(j.done)
 }
@@ -463,8 +502,10 @@ func (st *jobStore) invalidateCache() uint64 {
 	return st.gen.Add(1)
 }
 
-// snapshot renders the job's wire form under the store lock.
-func (st *jobStore) snapshot(j *job, includeResult bool) JobResponse {
+// snapshot returns the job's wire form without its result, plus the
+// outcome to render the result from (nil unless the job is done). It
+// only copies under the store lock; rendering happens outside it.
+func (st *jobStore) snapshot(j *job) (JobResponse, *mineOutcome) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	resp := JobResponse{
@@ -475,19 +516,17 @@ func (st *jobStore) snapshot(j *job, includeResult bool) JobResponse {
 	}
 	switch j.state {
 	case JobDone:
-		resp.SnapshotVersion = j.version
-		resp.Cached = j.cached
+		resp.SnapshotVersion = j.out.version
+		resp.Cached = j.out.cached
 		fin := j.finished
 		resp.FinishedAt = &fin
-		if includeResult {
-			resp.Result = j.result
-		}
+		return resp, j.out
 	case JobFailed:
 		fin := j.finished
 		resp.FinishedAt = &fin
 		resp.Error = j.err.Error()
 	}
-	return resp
+	return resp, nil
 }
 
 // await blocks until the job reaches a terminal state or ctx ends.

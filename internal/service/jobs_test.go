@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -405,5 +406,75 @@ func TestSyncMineExplicitZeroParams(t *testing.T) {
 	}
 	if len(mr.Itemsets) != 0 || len(mr.Counts) == 0 {
 		t.Fatalf("limit=0 response: %d itemsets, counts %v", len(mr.Itemsets), mr.Counts)
+	}
+}
+
+// TestMineResponseBytesStable pins that retaining a compact outcome and
+// rendering it per request changes no response byte: a sync mine, the
+// poll of its job, a cache-hit sync mine, and the poll of that job all
+// serve the same JSON (the hit differing only in "cached"), with and
+// without rules.
+func TestMineResponseBytesStable(t *testing.T) {
+	_, ts := startServer(t)
+	client := seedSkewed(t, ts.URL, ts.Client(), 3000, 26)
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, buf.Bytes())
+		}
+		return buf.Bytes()
+	}
+	// polled returns the result bytes of the newest retained job.
+	polled := func() []byte {
+		t.Helper()
+		list, err := client.MineJobs()
+		if err != nil || len(list) == 0 {
+			t.Fatalf("job list %v: %v", list, err)
+		}
+		var jr struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(get("/v1/mine-jobs/"+list[len(list)-1].ID), &jr); err != nil {
+			t.Fatal(err)
+		}
+		return jr.Result
+	}
+	// Distinct minsup per case, so each case's first mine is a miss.
+	for _, q := range []string{"minsup=0.2&limit=50", "minsup=0.25&minconf=0.5&limit=50"} {
+		miss := get("/v1/mine?" + q)
+		if p := polled(); !bytes.Equal(p, bytes.TrimSpace(miss)) {
+			t.Fatalf("%s: polled result\n%s\ndiffers from sync response\n%s", q, p, miss)
+		}
+		hit := get("/v1/mine?" + q)
+		if p := polled(); !bytes.Equal(p, bytes.TrimSpace(hit)) {
+			t.Fatalf("%s: polled cache-hit result\n%s\ndiffers from sync response\n%s", q, p, hit)
+		}
+		var mr MineResponse
+		if err := json.Unmarshal(hit, &mr); err != nil {
+			t.Fatal(err)
+		}
+		if !mr.Cached {
+			t.Fatalf("%s: second mine was not a cache hit", q)
+		}
+		if strings.Contains(q, "minconf") && len(mr.Rules) == 0 {
+			t.Fatalf("%s: no rules to compare", q)
+		}
+		mr.Cached = false
+		var asMiss bytes.Buffer
+		if err := json.NewEncoder(&asMiss).Encode(&mr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(asMiss.Bytes(), miss) {
+			t.Fatalf("%s: cache-hit response\n%s\ndiffers from the miss beyond the cached flag\n%s", q, hit, miss)
+		}
 	}
 }

@@ -854,10 +854,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("%w: canceled while awaiting job %s", ErrService, j.id))
 		return
 	}
-	resp := s.jobs.snapshot(j, true)
+	resp, out := s.jobs.snapshot(j)
 	switch resp.State {
 	case JobDone:
-		writeJSON(w, http.StatusOK, resp.Result)
+		writeJSON(w, http.StatusOK, s.renderMine(j.params, out))
 	default:
 		status := http.StatusBadRequest
 		switch {
@@ -892,7 +892,8 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.jobs.snapshot(j, false))
+	resp, _ := s.jobs.snapshot(j)
+	writeJSON(w, http.StatusAccepted, resp)
 }
 
 // handleGetJob reports one job, including its result when done. Unknown
@@ -904,7 +905,11 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("%w: unknown job %q", ErrService, r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobs.snapshot(j, true))
+	resp, out := s.jobs.snapshot(j)
+	if out != nil {
+		resp.Result = s.renderMine(j.params, out)
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleListJobs reports all retained jobs in submission order, without
@@ -913,7 +918,8 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	jobs := s.jobs.list()
 	out := make([]JobResponse, 0, len(jobs))
 	for _, j := range jobs {
-		out = append(out, s.jobs.snapshot(j, false))
+		resp, _ := s.jobs.snapshot(j)
+		out = append(out, resp)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -921,9 +927,10 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 // executeMine runs one mining request on a worker: serve from the
 // snapshot-versioned cache when the counter hasn't changed since an
 // identical computation, otherwise snapshot, run Apriori, and cache the
-// result under the snapshot's version. Returns the rendered response,
-// the version it is exact for, and whether it was a cache hit.
-func (s *Server) executeMine(p MineParams) (*MineResponse, uint64, bool, error) {
+// result under the snapshot's version. Returns the outcome the job
+// retains: the result, its rules, the version it is exact for, and
+// whether it was a cache hit.
+func (s *Server) executeMine(p MineParams) (*mineOutcome, error) {
 	// One atomic load yields a consistent (counter, generation) pair;
 	// LoadState clears the cache and bumps the generation BEFORE
 	// publishing the new pair, so a worker still holding the old pair
@@ -941,13 +948,13 @@ func (s *Server) executeMine(p MineParams) (*MineResponse, uint64, bool, error) 
 	// discipline below carries over unchanged.
 	window, err := p.windowDuration()
 	if err != nil {
-		return nil, 0, false, err
+		return nil, err
 	}
 	var wv mining.WindowView
 	if window > 0 {
 		var ok bool
 		if wv, ok = counter.(mining.WindowView); !ok {
-			return nil, 0, false, fmt.Errorf("%w: collection is not windowed; mine without the window parameter", ErrService)
+			return nil, fmt.Errorf("%w: collection is not windowed; mine without the window parameter", ErrService)
 		}
 	}
 	key := mineKey{gen: gen, version: counter.Version(), minsup: p.MinSupport, scheme: s.scheme.Name(), maxlen: p.MaxLen, window: window}
@@ -955,14 +962,7 @@ func (s *Server) executeMine(p MineParams) (*MineResponse, uint64, bool, error) 
 		if s.met != nil {
 			s.met.jobs.cacheHits.Inc()
 		}
-		resp, err := s.renderMine(e.result, e.records, p)
-		if err != nil {
-			return nil, key.version, false, err
-		}
-		resp.SnapshotVersion = key.version
-		resp.Cached = true
-		resp.VersionVector = ref.vector
-		return resp, key.version, true, nil
+		return newMineOutcome(e, p, key.version, true, ref.vector)
 	}
 	// Mine a frozen snapshot so every Apriori pass sees one consistent
 	// record count even while submissions keep arriving. A windowed mine
@@ -979,13 +979,13 @@ func (s *Server) executeMine(p MineParams) (*MineResponse, uint64, bool, error) 
 	n := snapshot.N()
 	if n == 0 {
 		if window > 0 {
-			return nil, version, false, fmt.Errorf("%w (no records in the last %s)", errNoSubmissions, p.Window)
+			return nil, fmt.Errorf("%w (no records in the last %s)", errNoSubmissions, p.Window)
 		}
-		return nil, version, false, errNoSubmissions
+		return nil, errNoSubmissions
 	}
 	res, err := mining.AprioriWithOptions(snapshot, p.MinSupport, mining.Options{CandidateRelaxation: 1, MaxLen: p.MaxLen})
 	if err != nil {
-		return nil, version, false, err
+		return nil, err
 	}
 	s.jobs.runs.Add(1)
 	if s.met != nil {
@@ -997,64 +997,86 @@ func (s *Server) executeMine(p MineParams) (*MineResponse, uint64, bool, error) 
 	// reporting this (generation, version, params) returns its result.
 	entry := s.jobs.cachePut(mineKey{gen: gen, version: version, minsup: p.MinSupport, scheme: s.scheme.Name(), maxlen: p.MaxLen, window: window},
 		&cacheEntry{records: n, result: res})
-	resp, err := s.renderMine(entry.result, entry.records, p)
-	if err != nil {
-		return nil, version, false, err
-	}
-	resp.SnapshotVersion = version
-	resp.VersionVector = ref.vector
-	return resp, version, false, nil
+	return newMineOutcome(entry, p, version, false, ref.vector)
 }
 
-// renderMine converts a (possibly cached, therefore read-only) mining
-// result into the wire response: itemset truncation and rule generation
-// are per-request post-processing, so one cached Apriori run serves any
-// combination of minconf and limit.
-func (s *Server) renderMine(res *mining.Result, records int, p MineParams) (*MineResponse, error) {
-	resp := &MineResponse{
-		Records:    records,
-		MinSupport: p.MinSupport,
-		Window:     p.Window,
-		Counts:     res.Counts(),
+// newMineOutcome keeps what one request's response needs from a
+// (possibly cached, therefore read-only) mining result: the first
+// p.Limit itemsets and, with minconf, the first p.Limit rules. Rule
+// generation and truncation are per-request post-processing, so one
+// cached Apriori run serves any combination of minconf and limit.
+func newMineOutcome(e *cacheEntry, p MineParams, version uint64, cached bool, vector map[string]uint64) (*mineOutcome, error) {
+	out := &mineOutcome{counts: e.result.Counts(), records: e.records, version: version, cached: cached, vector: vector}
+	kept, items := 0, 0
+	for k, n := range out.counts {
+		take := min(n, p.Limit-kept)
+		kept += take
+		items += take * (k + 1)
 	}
-	emitted := 0
-	for _, level := range res.ByLength {
-		for _, fi := range level {
-			if emitted >= p.Limit {
-				break
-			}
-			resp.Itemsets = append(resp.Itemsets, ItemsetJSON{
-				Items:   s.itemsToJSON(fi.Items),
-				Support: fi.Support,
-			})
-			emitted++
+	out.items = make([]keptItem, 0, items)
+	out.supports = make([]float64, 0, kept)
+	for _, level := range e.result.ByLength {
+		for _, fi := range level[:min(len(level), kept-len(out.supports))] {
+			out.items = keepItems(fi.Items, out.items)
+			out.supports = append(out.supports, fi.Support)
 		}
 	}
 	if p.MinConf > 0 {
-		rules, err := mining.GenerateRules(res, p.MinConf)
+		rules, err := mining.GenerateRules(e.result, p.MinConf)
 		if err != nil {
 			return nil, err
 		}
-		for i, rule := range rules {
-			if i >= p.Limit {
-				break
+		rules = rules[:min(len(rules), p.Limit)]
+		out.rules = make([]keptRule, len(rules))
+		for i, r := range rules {
+			out.rules[i] = keptRule{
+				antecedent: keepItems(r.Antecedent, nil),
+				consequent: keepItems(r.Consequent, nil),
+				support:    r.Support,
+				confidence: r.Confidence,
 			}
-			resp.Rules = append(resp.Rules, RuleJSON{
-				Antecedent: s.itemsToJSON(rule.Antecedent),
-				Consequent: s.itemsToJSON(rule.Consequent),
-				Support:    rule.Support,
-				Confidence: rule.Confidence,
-			})
 		}
 	}
-	return resp, nil
+	return out, nil
 }
 
-func (s *Server) itemsToJSON(set mining.Itemset) map[string]string {
+// renderMine converts a job's outcome into the wire response.
+func (s *Server) renderMine(p MineParams, out *mineOutcome) *MineResponse {
+	resp := &MineResponse{
+		Records:         out.records,
+		MinSupport:      p.MinSupport,
+		SnapshotVersion: out.version,
+		Cached:          out.cached,
+		Window:          p.Window,
+		VersionVector:   out.vector,
+		Counts:          out.counts,
+	}
+	items := out.items
+	for k, n := range out.counts {
+		for j := 0; j < n && len(resp.Itemsets) < len(out.supports); j++ {
+			resp.Itemsets = append(resp.Itemsets, ItemsetJSON{
+				Items:   s.itemsToJSON(items[:k+1]),
+				Support: out.supports[len(resp.Itemsets)],
+			})
+			items = items[k+1:]
+		}
+	}
+	for _, r := range out.rules {
+		resp.Rules = append(resp.Rules, RuleJSON{
+			Antecedent: s.itemsToJSON(r.antecedent),
+			Consequent: s.itemsToJSON(r.consequent),
+			Support:    r.support,
+			Confidence: r.confidence,
+		})
+	}
+	return resp
+}
+
+func (s *Server) itemsToJSON(set []keptItem) map[string]string {
 	out := make(map[string]string, len(set))
 	for _, it := range set {
-		a := s.schema.Attrs[it.Attr]
-		out[a.Name] = a.Categories[it.Value]
+		a := s.schema.Attrs[it.attr]
+		out[a.Name] = a.Categories[it.value]
 	}
 	return out
 }
