@@ -52,11 +52,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/loadgen"
 	"repro/internal/registry"
-	"repro/internal/service"
-	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -166,10 +163,9 @@ func run(args []string) int {
 // built-in ops listener means the -ops-target scrape gate exercises the
 // same /metrics path CI scrapes, with no external process to manage.
 //
-// With -collection set, the server is created inside an in-process
-// collection registry instead, so the workload traverses the full
-// multi-tenant /v1/collections/{name}/ dispatch path — the same stack a
-// named tenant sees in production.
+// With -collection set, the workload traverses the full multi-tenant
+// /v1/collections/{name}/ dispatch path — the same stack a named tenant
+// sees in production.
 func selfHost(cfg *loadgen.Config, pop *loadgen.Population) (func(), string, string, error) {
 	reg := telemetry.NewRegistry()
 	handler, closeServer, err := selfHostHandler(cfg, pop, reg)
@@ -199,44 +195,31 @@ func selfHost(cfg *loadgen.Config, pop *loadgen.Population) (func(), string, str
 	return shutdown, "http://" + ln.Addr().String(), "http://" + ops.Addr, nil
 }
 
-// selfHostHandler builds the HTTP handler under test: a bare server for
-// the legacy single-tenant path, or a registry hosting the named
-// collection when -collection is set.
+// selfHostHandler builds the HTTP handler under test: a collection
+// registry whose default collection — built the way frapp-server
+// builds its own — has cfg's contract, plus the named collection when
+// -collection sets one.
 func selfHostHandler(cfg *loadgen.Config, pop *loadgen.Population, reg *telemetry.Registry) (http.Handler, func(), error) {
-	if cfg.Collection == "" {
-		opts := []service.Option{service.WithScheme(cfg.Scheme), service.WithTelemetry(reg)}
-		if cfg.State != "" {
-			st, err := store.Open(cfg.State)
-			if err != nil {
-				return nil, nil, err
-			}
-			opts = append(opts, service.WithStore(st))
-		}
-		srv, err := service.NewServer(pop.Schema,
-			core.PrivacySpec{Rho1: cfg.Rho1, Rho2: cfg.Rho2}, opts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return srv.Handler(), srv.Close, nil
-	}
-	tenants, err := registry.New(registry.Options{BaseDir: cfg.State, Metrics: reg})
-	if err != nil {
-		return nil, nil, err
-	}
-	col, _, err := tenants.Create(cfg.Collection, registry.CollectionSpec{
+	spec := registry.CollectionSpec{
 		Schema: &registry.SchemaSpec{Name: pop.Schema.Name, Attrs: pop.Schema.Attrs},
 		Scheme: cfg.Scheme,
 		Rho1:   cfg.Rho1,
 		Rho2:   cfg.Rho2,
-	})
+	}
+	tenants, err := registry.New(registry.Options{BaseDir: cfg.State, Metrics: reg, Default: &spec})
 	if err != nil {
-		tenants.Close()
 		return nil, nil, err
 	}
-	// Create has built the collection; surface a failed build.
-	if err := col.Ready(); err != nil {
-		tenants.Close()
-		return nil, nil, err
+	if cfg.Collection != "" && cfg.Collection != registry.DefaultCollection {
+		col, _, err := tenants.Create(cfg.Collection, spec)
+		// Create has built the collection; surface a failed build.
+		if err == nil {
+			err = col.Ready()
+		}
+		if err != nil {
+			tenants.Close()
+			return nil, nil, err
+		}
 	}
-	return tenants.Handler(), tenants.Close, nil
+	return tenants.Handler(), func() { tenants.Close() }, nil
 }

@@ -19,17 +19,20 @@
 //	             [-sync-interval 5s]
 //	             [-ops-addr 127.0.0.1:9090] [-access-log] [-log-level info]
 //
-// The server is multi-tenant: the flag-configured collection above is
-// the DEFAULT collection, served on the classic un-prefixed routes,
-// and further named collections — each with its own schema, privacy
-// contract, scheme, counter, mining pool, and (with -state) its own
-// WAL+checkpoint directory under statedir/tenants/<name>/ — are
-// managed at runtime via PUT/GET/DELETE /v1/collections/{name} and
-// reached under /v1/collections/{name}/v1/... (see
-// docs/multitenancy.md). -max-collections caps how many are live at
-// once. Named collections are recorded in statedir/collections.json
-// and rebuilt (WAL recovery included) at next start; /readyz stays 503
-// with a per-collection breakdown until every one of them finishes.
+// The server is multi-tenant: the collection above is built from the
+// flags as the default spec — the DEFAULT collection, served on the
+// classic un-prefixed routes — and further named collections, each
+// with its own schema, privacy contract, scheme, counter, mining pool,
+// and (with -state) its own WAL+checkpoint directory under
+// statedir/tenants/<name>/, are managed at runtime via
+// PUT/GET/DELETE /v1/collections/{name} and reached under
+// /v1/collections/{name}/v1/... (see docs/multitenancy.md). Named
+// collections inherit -query-limit, -max-body, -job-ttl,
+// -checkpoint-every, and -wal-flush. -max-collections caps how many
+// are live at once. Named collections are recorded in
+// statedir/collections.json and rebuilt (WAL recovery included) at
+// next start; /readyz stays 503 with a per-collection breakdown until
+// every one of them finishes.
 //
 // -window-buckets/-window-bucket make the DEFAULT collection a sliding
 // window: a ring of -window-buckets sub-counters each spanning
@@ -108,9 +111,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/federation"
 	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -188,8 +189,8 @@ type serverConfig struct {
 
 // run serves until ctx is canceled (SIGINT/SIGTERM in production), then
 // shuts down gracefully. With -state, durability is continuous — the
-// store's WAL flusher runs for the whole serving window — and a
-// graceful shutdown additionally compacts a final checkpoint; crashes
+// store's WAL flusher runs for the whole serving window — and closing
+// the registry compacts a final checkpoint of every collection; crashes
 // at any other point recover from the store at next start.
 func run(ctx context.Context, cfg serverConfig) error {
 	var sc *dataset.Schema
@@ -204,17 +205,8 @@ func run(ctx context.Context, cfg serverConfig) error {
 	if cfg.peers != "" && cfg.state != "" {
 		return errors.New("-state cannot be combined with -peers: a coordinator's counter is rebuilt from its peers, which own the durable state")
 	}
-	windowed := cfg.windowBuckets != 0 || cfg.windowBucket != 0
-	if windowed {
-		if cfg.windowBuckets == 0 || cfg.windowBucket == 0 {
-			return errors.New("-window-buckets and -window-bucket must be set together")
-		}
-		if cfg.state != "" {
-			return errors.New("-state cannot be combined with a sliding window: bucket expiry is wall-clock-defined and cannot be replayed")
-		}
-		if cfg.peers != "" {
-			return errors.New("-peers cannot be combined with a sliding window: expiry cannot be replicated")
-		}
+	if cfg.state != "" && (cfg.windowBuckets != 0 || cfg.windowBucket != 0) {
+		return errors.New("-state cannot be combined with a sliding window: bucket expiry is wall-clock-defined and cannot be replayed")
 	}
 	syncMode := store.SyncAlways
 	switch cfg.walSync {
@@ -224,29 +216,40 @@ func run(ctx context.Context, cfg serverConfig) error {
 	default:
 		return fmt.Errorf("bad -wal-sync %q (want always or off)", cfg.walSync)
 	}
-	spec := core.PrivacySpec{Rho1: cfg.rho1, Rho2: cfg.rho2}
+	// Negative -shards and -mine-workers mean the default, as 0 does.
+	spec := registry.CollectionSpec{
+		Schema:        &registry.SchemaSpec{Name: sc.Name, Attrs: sc.Attrs},
+		Scheme:        cfg.scheme,
+		Rho1:          cfg.rho1,
+		Rho2:          cfg.rho2,
+		Shards:        max(cfg.shards, 0),
+		MineWorkers:   max(cfg.mineWorkers, 0),
+		WindowBuckets: cfg.windowBuckets,
+	}
+	if cfg.windowBucket != 0 {
+		spec.WindowBucket = cfg.windowBucket.String()
+	}
+	if cfg.peers != "" {
+		spec.Peers = strings.Split(cfg.peers, ",")
+		if cfg.syncInterval > 0 {
+			spec.SyncInterval = cfg.syncInterval.String()
+		}
+	}
 
 	// Telemetry is always collected (the instruments are allocation-free
 	// on the hot path); -ops-addr controls whether anything serves it.
 	// The ops listener is bound BEFORE recovery so /readyz answers 503
-	// during a long WAL replay instead of refusing connections. colReg
-	// is published once the collection registry exists, so readiness
-	// also reflects every named collection's background rebuild.
+	// during a long WAL replay or warm federation sync instead of
+	// refusing connections; the registry is published once the default
+	// is built, and its Ready covers every named collection's rebuild.
 	reg := telemetry.NewRegistry()
-	var recovered, warm atomic.Bool
-	var colReg atomic.Pointer[registry.Registry]
+	var tenants atomic.Pointer[registry.Registry]
 	if cfg.opsAddr != "" {
 		ready := func() error {
-			if !recovered.Load() {
-				return errors.New("state recovery in progress")
-			}
-			if !warm.Load() {
-				return errors.New("initial federation sync not finished")
-			}
-			if r := colReg.Load(); r != nil {
+			if r := tenants.Load(); r != nil {
 				return r.Ready()
 			}
-			return nil
+			return errors.New("default collection: state recovery or initial federation sync in progress")
 		}
 		ops, err := telemetry.ServeOps(cfg.opsAddr, telemetry.OpsHandler(reg, ready))
 		if err != nil {
@@ -255,15 +258,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 		defer ops.Close()
 		log.Printf("frapp-server: ops endpoints (metrics, healthz, readyz, pprof) on %s", ops.Addr)
 	}
-	opts := []service.Option{
-		service.WithScheme(cfg.scheme),
-		service.WithShards(cfg.shards),
-		service.WithMineWorkers(cfg.mineWorkers),
-		service.WithJobTTL(cfg.jobTTL),
-		service.WithQueryLimit(cfg.queryLimit),
-		service.WithMaxBody(cfg.maxBody),
-		service.WithTelemetry(reg),
-	}
 	var accessLogger *telemetry.Logger
 	if cfg.accessLog {
 		lvl, err := telemetry.ParseLevel(cfg.logLevel)
@@ -271,125 +265,63 @@ func run(ctx context.Context, cfg serverConfig) error {
 			return err
 		}
 		accessLogger = telemetry.NewLogger(os.Stderr, lvl)
-		opts = append(opts, service.WithAccessLog(accessLogger))
-	}
-	if windowed {
-		opts = append(opts, service.WithWindow(cfg.windowBuckets, cfg.windowBucket))
 	}
 
-	var (
-		srv *service.Server
-		err error
-	)
-	if cfg.state != "" {
-		st, err := store.Open(cfg.state, store.WithSyncMode(syncMode))
-		if err != nil {
-			return err
-		}
-		opts = append(opts,
-			service.WithStore(st),
-			service.WithCheckpointEvery(cfg.checkpointEvery),
-			service.WithWALFlushInterval(cfg.walFlush))
-		srv, err = service.NewServer(sc, spec, opts...)
-		if err != nil {
-			st.Close()
-			return err
-		}
-	} else if srv, err = service.NewServer(sc, spec, opts...); err != nil {
-		return err
-	}
-	defer srv.Close()
-	recovered.Store(true)
-
-	// The collection registry hosts further named collections beside the
-	// flag-configured default. With -state, their specs live in
-	// statedir/collections.json and their stores under statedir/tenants/
-	// — any that were recorded start rebuilding (WAL recovery included)
-	// in the background now; /readyz covers them via colReg above.
-	tenants, err := registry.New(registry.Options{
+	// With -state, the default collection's store is statedir itself,
+	// named collections' specs live in statedir/collections.json and
+	// their stores under statedir/tenants/; recorded ones start
+	// rebuilding in the background once the default is up.
+	r, err := registry.New(registry.Options{
 		BaseDir:        cfg.state,
 		MaxCollections: cfg.maxCollections,
 		Metrics:        reg,
-		AccessLog:      accessLogger,
 		SyncMode:       syncMode,
+		Default:        &spec,
+		ServerOptions: []service.Option{
+			service.WithQueryLimit(cfg.queryLimit),
+			service.WithMaxBody(cfg.maxBody),
+			service.WithJobTTL(cfg.jobTTL),
+			service.WithCheckpointEvery(cfg.checkpointEvery),
+			service.WithWALFlushInterval(cfg.walFlush),
+			service.WithAccessLog(accessLogger),
+		},
 	})
 	if err != nil {
 		return err
 	}
-	defer tenants.Close()
-	if _, err := tenants.Adopt(registry.DefaultCollection, srv); err != nil {
-		return err
+	tenants.Store(r)
+	// New built the default before returning, so both lookups succeed.
+	col, _ := r.Get(registry.DefaultCollection)
+	srv, _ := col.Server()
+	if len(spec.Peers) > 0 {
+		log.Printf("frapp-server: federation coordinator over %d peers", len(spec.Peers))
 	}
-	colReg.Store(tenants)
-
-	var coord *federation.Coordinator
-	if cfg.peers == "" {
-		warm.Store(true)
-	} else {
-		// The coordinator is built over the server's OWN scheme contract
-		// (not a re-derived one), so its compatibility fingerprint can
-		// never drift from what ReplaceCounter will accept — and a peer
-		// running a different scheme is rejected, never merged.
-		coord, err = federation.NewCoordinator(srv.CounterScheme(), strings.Split(cfg.peers, ","),
-			srv.ReplaceCounter,
-			federation.WithSyncInterval(cfg.syncInterval),
-			federation.WithMetrics(reg))
-		if err != nil {
-			return err
-		}
-		if err := srv.EnableFederation(coord); err != nil {
-			return err
-		}
-		// Warm first view; per-peer failures are logged, not fatal — the
-		// background loop keeps retrying with backoff. /readyz flips to
-		// ready once the warm pass completes (degraded peers show up in
-		// the federation health metrics, not as permanent unreadiness).
-		if err := coord.SyncAll(ctx); err != nil {
-			log.Printf("frapp-server: initial federation sync: %v", err)
-		}
-		warm.Store(true)
-		coord.Start()
-		log.Printf("frapp-server: federation coordinator over %d peers, sync interval %s",
-			len(coord.Peers()), coord.SyncInterval())
-	}
-
 	log.Printf("frapp-server: schema=%s scheme=%s records=%d shards=%d mine-workers=%d collections=%d listening on %s",
-		sc.Name, srv.Scheme(), srv.N(), srv.Shards(), srv.MineWorkers(), len(tenants.Names()), cfg.addr)
+		sc.Name, srv.Scheme(), srv.N(), srv.Shards(), srv.MineWorkers(), len(r.Names()), cfg.addr)
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: tenants.Handler()}
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: r.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
+	var serveErr error
 	select {
-	case err := <-errc:
-		// Listen failed before any graceful shutdown: stop the sync loop
-		// and report; deliberately no persist (see the run doc comment).
-		if coord != nil {
-			coord.Close()
-		}
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
+	case serveErr = <-errc: // the listen failed
 	case <-ctx.Done():
 		log.Printf("frapp-server: shutting down")
-		// Stop pulling (and publishing) before draining HTTP, so the
-		// counter stops moving under the final in-flight responses.
-		if coord != nil {
-			coord.Close()
-		}
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 			log.Printf("frapp-server: shutdown: %v", err)
 		}
 	}
-	// Named collections close (with a final checkpoint each) inside the
-	// deferred tenants.Close; checkpoint the adopted default explicitly.
+	// Closing the registry stops every federation loop and compacts a
+	// final checkpoint of every collection, the default included.
+	if err := r.Close(); err != nil {
+		return errors.Join(serveErr, fmt.Errorf("persisting state: %w", err))
+	}
+	if serveErr != nil {
+		return serveErr
+	}
 	if cfg.state != "" {
-		// The WAL already holds everything flushed; the final checkpoint
-		// compacts the shutdown state so the next boot replays nothing.
-		if err := srv.CheckpointNow(); err != nil {
-			return fmt.Errorf("persisting state: %w", err)
-		}
 		log.Printf("frapp-server: state checkpointed to %s (%d records)", cfg.state, srv.N())
 	}
 	return nil

@@ -12,10 +12,13 @@ import (
 //
 //	PUT    /v1/collections/{name}        create (idempotent on identical spec)
 //	GET    /v1/collections/{name}        inspect one collection
-//	DELETE /v1/collections/{name}        delete (404 unknown, 403 adopted)
+//	DELETE /v1/collections/{name}        delete (404 unknown, 403 default)
 //	GET    /v1/collections               list all collections
 //	ANY    /v1/collections/{name}/...    the named collection's data plane
 //	ANY    /...                          the default collection (legacy alias)
+//
+// The default collection is built from the flags as the default spec
+// (Options.Default); PUT over it answers 409 and DELETE 403.
 //
 // The data-plane alias strips the /v1/collections/{name} prefix and
 // ALSO tolerates a repeated /v1: both /v1/collections/a/submit and
@@ -43,7 +46,7 @@ type CollectionInfo struct {
 
 // info snapshots one collection's state.
 func (c *Collection) info() CollectionInfo {
-	ci := CollectionInfo{Name: c.name, Spec: c.spec, Default: c.adopted}
+	ci := CollectionInfo{Name: c.name, Spec: c.spec, Default: c.name == DefaultCollection}
 	select {
 	case <-c.ready:
 		if c.err != nil {
@@ -113,17 +116,16 @@ func (r *Registry) handlePut(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, status, col.info())
 }
 
-// putErrorStatus maps Create failures onto HTTP statuses by message
-// shape: conflicts and caps are the caller's state to resolve, the
-// rest are bad specs.
+// putErrorStatus maps Create failures onto HTTP statuses by error
+// kind — never by message, which echoes client input: conflicts and
+// caps are the caller's state to resolve, the rest are bad specs.
 func putErrorStatus(err error) int {
-	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "already exists"), strings.Contains(msg, "flag-configured"):
+	case errors.Is(err, errConflict):
 		return http.StatusConflict
-	case strings.Contains(msg, "limit"), strings.Contains(msg, "budget"):
+	case errors.Is(err, errCapacity):
 		return http.StatusForbidden
-	case strings.Contains(msg, "registry is closed"):
+	case errors.Is(err, errClosed):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest
@@ -132,18 +134,16 @@ func putErrorStatus(err error) int {
 
 func (r *Registry) handleDelete(w http.ResponseWriter, req *http.Request) {
 	name := req.PathValue("name")
-	col, err := r.Get(name)
-	if err != nil {
+	if _, err := r.Get(name); err != nil {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	if col.Adopted() {
-		httpError(w, http.StatusForbidden,
-			fmt.Errorf("%w: collection %q is flag-configured and cannot be deleted", ErrRegistry, name))
-		return
-	}
 	if err := r.Delete(name); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		status := http.StatusInternalServerError
+		if name == DefaultCollection {
+			status = http.StatusForbidden
+		}
+		httpError(w, status, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -7,8 +7,16 @@
 // inspected, and deleted at runtime through the lifecycle endpoints
 // (PUT/GET/DELETE /v1/collections/{name}), every data-plane endpoint is
 // reachable path-scoped under /v1/collections/{name}/..., and the
-// legacy un-prefixed routes alias a designated default collection so
+// legacy un-prefixed routes alias the default collection so
 // single-tenant deployments and clients keep working unchanged.
+//
+// Every collection, the default included, is assembled from a
+// CollectionSpec by one function (buildCollection). The default is the
+// spec passed as Options.Default — frapp-server compiles its flags into
+// it — and is what the reserved name "default" means: it keeps its
+// store at the base directory root (the single-tenant layout), stays
+// out of the manifest, cannot be deleted or re-PUT, and emits its
+// metric series without a collection label.
 //
 // Isolation is structural, not bookkept: collections share nothing but
 // the process, the telemetry registry (where every per-collection
@@ -17,18 +25,19 @@
 // deleting one collection cannot change another's answers — there is no
 // cross-collection state to leak through.
 //
-// Named collections are built asynchronously: PUT returns as soon as
-// the spec is validated and recorded, while WAL recovery (arbitrarily
-// long after a crash) proceeds in the background. Until a collection's
-// build finishes, its data plane answers 503 and the registry's Ready
-// reports it — per collection — so /readyz gates traffic exactly as it
-// does for the single-tenant server.
+// A PUT builds its collection before answering. Collections recorded
+// in the manifest are rebuilt in the background at start: until a
+// collection's build finishes, its data plane answers 503 and the
+// registry's Ready reports it — per collection — so /readyz gates
+// traffic exactly as it does for the single-tenant server.
 package registry
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -49,7 +58,16 @@ import (
 // ErrRegistry marks every error produced by this package.
 var ErrRegistry = errors.New("registry")
 
-// DefaultCollection is the name the legacy un-prefixed routes alias.
+// Create failures that are the caller's state to resolve, not a bad
+// spec; the HTTP layer maps each to its own status.
+var (
+	errConflict = fmt.Errorf("%w: conflict", ErrRegistry)
+	errCapacity = fmt.Errorf("%w: capacity", ErrRegistry)
+	errClosed   = fmt.Errorf("%w: registry is closed", ErrRegistry)
+)
+
+// DefaultCollection is the name the legacy un-prefixed routes alias,
+// reserved for the collection built from Options.Default.
 const DefaultCollection = "default"
 
 // nameRE is the closed collection-name vocabulary. It doubles as the
@@ -197,9 +215,8 @@ func (s *CollectionSpec) key() string {
 // Collection is one live tenant: a spec plus the server built from it.
 // srv, coord, and err are written exactly once, before ready closes.
 type Collection struct {
-	name    string
-	spec    CollectionSpec
-	adopted bool
+	name string
+	spec CollectionSpec
 
 	ready chan struct{}
 	srv   *service.Server
@@ -212,10 +229,6 @@ func (c *Collection) Name() string { return c.name }
 
 // Spec returns the collection's normalized spec.
 func (c *Collection) Spec() CollectionSpec { return c.spec }
-
-// Adopted reports whether the collection was installed by Adopt (its
-// lifecycle is owned by the caller, not the registry).
-func (c *Collection) Adopted() bool { return c.adopted }
 
 // Ready reports the collection's build outcome without blocking:
 // nil once built, the build error if it failed, or a "still
@@ -245,17 +258,19 @@ func (c *Collection) AwaitReady() error {
 }
 
 // close shuts the collection down: the federation loop first (so the
-// counter stops moving), then a best-effort final checkpoint, then the
-// server (which owns and closes its store).
-func (c *Collection) close() {
+// counter stops moving), then a final checkpoint, then the server
+// (which owns and closes its store). It returns the checkpoint error.
+func (c *Collection) close() error {
 	<-c.ready
 	if c.coord != nil {
 		c.coord.Close()
 	}
-	if c.srv != nil {
-		_ = c.srv.CheckpointNow()
-		c.srv.Close()
+	if c.srv == nil {
+		return nil
 	}
+	err := c.srv.CheckpointNow()
+	c.srv.Close()
+	return err
 }
 
 // Options configure a Registry.
@@ -271,11 +286,15 @@ type Options struct {
 	// Metrics, when set, instruments every collection's server under
 	// its `collection` label.
 	Metrics *telemetry.Registry
-	// AccessLog, when set, is shared by every collection's server; each
-	// line carries the collection name.
-	AccessLog *telemetry.Logger
-	// SyncMode is the WAL fsync policy of tenant stores.
+	// SyncMode is the WAL fsync policy of every collection's store.
 	SyncMode store.SyncMode
+	// Default, when set, is built by New before it returns, as the
+	// collection named DefaultCollection.
+	Default *CollectionSpec
+	// ServerOptions are applied to every collection's server: the
+	// process-wide knobs no spec carries (query limit, body cap, job
+	// TTL, checkpoint and WAL flush cadence, access log).
+	ServerOptions []service.Option
 }
 
 // Registry is a concurrent set of named collections.
@@ -283,8 +302,11 @@ type Registry struct {
 	baseDir string
 	maxCols int
 	metrics *telemetry.Registry
-	access  *telemetry.Logger
 	sync    store.SyncMode
+	srvOpts []service.Option
+	// ctx bounds the warm federation sync of builds; Close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu          sync.Mutex
 	collections map[string]*Collection
@@ -299,9 +321,10 @@ type Registry struct {
 	buildDelay func(name string)
 }
 
-// New builds a registry and, when BaseDir holds a manifest from a
-// previous run, starts rebuilding every recorded collection in the
-// background. The call returns immediately; gate traffic on Ready.
+// New builds a registry. A Default spec is built before New returns,
+// and its build error is New's error. When BaseDir holds a manifest
+// from a previous run, every recorded collection starts rebuilding in
+// the background; gate traffic on Ready.
 func New(o Options) (*Registry, error) {
 	if o.MaxCollections <= 0 {
 		o.MaxCollections = defaultMaxCollections
@@ -310,17 +333,38 @@ func New(o Options) (*Registry, error) {
 		baseDir:     o.BaseDir,
 		maxCols:     o.MaxCollections,
 		metrics:     o.Metrics,
-		access:      o.AccessLog,
 		sync:        o.SyncMode,
+		srvOpts:     o.ServerOptions,
 		collections: make(map[string]*Collection),
 		everNamed:   make(map[string]bool),
 	}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
+	if o.Default != nil {
+		spec := *o.Default
+		if err := spec.normalize(); err != nil {
+			r.cancel()
+			return nil, err
+		}
+		// Built before BaseDir is created: the default's store lives at
+		// the BaseDir root, and store.Open migrates a legacy single-file
+		// state only while that path is still a regular file.
+		col := &Collection{name: DefaultCollection, spec: spec, ready: make(chan struct{})}
+		r.build(col)
+		if col.err != nil {
+			r.cancel()
+			return nil, col.err
+		}
+		r.collections[DefaultCollection] = col
+		r.everNamed[DefaultCollection] = true
+	}
 	if r.baseDir != "" {
 		if err := os.MkdirAll(r.baseDir, 0o755); err != nil {
+			r.Close()
 			return nil, fmt.Errorf("%w: %v", ErrRegistry, err)
 		}
 		specs, err := r.loadManifest()
 		if err != nil {
+			r.Close()
 			return nil, err
 		}
 		for name, spec := range specs {
@@ -331,39 +375,6 @@ func New(o Options) (*Registry, error) {
 		}
 	}
 	return r, nil
-}
-
-// Adopt installs an externally built, already-recovered server as the
-// named collection — how frapp-server mounts its flag-configured
-// default so the legacy routes keep serving it. The caller keeps
-// ownership: the registry never closes an adopted server, and Delete
-// refuses it.
-func (r *Registry) Adopt(name string, srv *service.Server) (*Collection, error) {
-	if srv == nil {
-		return nil, fmt.Errorf("%w: nil server", ErrRegistry)
-	}
-	if !nameRE.MatchString(name) {
-		return nil, fmt.Errorf("%w: bad collection name %q", ErrRegistry, name)
-	}
-	schema := srv.PublishedSchema()
-	spec := CollectionSpec{
-		Schema: &SchemaSpec{Name: schema.Name, Attrs: schema.Attrs},
-		Scheme: srv.Scheme(),
-		Shards: srv.Shards(),
-	}
-	col := &Collection{name: name, spec: spec, adopted: true, ready: make(chan struct{}), srv: srv}
-	close(col.ready)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, fmt.Errorf("%w: registry is closed", ErrRegistry)
-	}
-	if _, ok := r.collections[name]; ok {
-		return nil, fmt.Errorf("%w: collection %q already exists", ErrRegistry, name)
-	}
-	r.collections[name] = col
-	r.everNamed[name] = true
-	return col, nil
 }
 
 // Create registers a new named collection and builds it before
@@ -398,27 +409,27 @@ func (r *Registry) Create(name string, spec CollectionSpec) (col *Collection, cr
 // live set and the caps, records the collection, and persists the
 // manifest. created=false returns the existing identical collection.
 func (r *Registry) register(name string, spec CollectionSpec) (col *Collection, created bool, err error) {
+	if name == DefaultCollection {
+		return nil, false, fmt.Errorf("%w: collection %q is flag-configured; manage it via server flags", errConflict, name)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, false, fmt.Errorf("%w: registry is closed", ErrRegistry)
+		return nil, false, errClosed
 	}
 	if existing, ok := r.collections[name]; ok {
-		if existing.adopted {
-			return nil, false, fmt.Errorf("%w: collection %q is flag-configured; manage it via server flags", ErrRegistry, name)
-		}
 		if existing.spec.key() == spec.key() {
 			return existing, false, nil
 		}
-		return nil, false, fmt.Errorf("%w: collection %q already exists with a different spec", ErrRegistry, name)
+		return nil, false, fmt.Errorf("%w: collection %q already exists with a different spec", errConflict, name)
 	}
 	if len(r.collections) >= r.maxCols {
-		return nil, false, fmt.Errorf("%w: collection limit %d reached", ErrRegistry, r.maxCols)
+		return nil, false, fmt.Errorf("%w: collection limit %d reached", errCapacity, r.maxCols)
 	}
 	// The telemetry label vocabulary is append-only across churn; cap it
 	// so delete/create cycles cannot grow series without bound.
 	if !r.everNamed[name] && len(r.everNamed) >= 4*r.maxCols {
-		return nil, false, fmt.Errorf("%w: lifetime collection-name budget %d exhausted (reuse a previous name or restart)", ErrRegistry, 4*r.maxCols)
+		return nil, false, fmt.Errorf("%w: lifetime collection-name budget %d exhausted (reuse a previous name or restart)", errCapacity, 4*r.maxCols)
 	}
 	col = &Collection{name: name, spec: spec, ready: make(chan struct{})}
 	r.collections[name] = col
@@ -443,17 +454,16 @@ func (r *Registry) Get(name string) (*Collection, error) {
 
 // Delete removes a named collection: unregisters it (new requests 404
 // immediately), persists the manifest, then shuts the server down and
-// removes its tenant store directory. Adopted collections refuse.
+// removes its tenant store directory. The default collection refuses.
 func (r *Registry) Delete(name string) error {
+	if name == DefaultCollection {
+		return fmt.Errorf("%w: collection %q is flag-configured and cannot be deleted", ErrRegistry, name)
+	}
 	r.mu.Lock()
 	col, ok := r.collections[name]
 	if !ok {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: no collection %q", ErrRegistry, name)
-	}
-	if col.adopted {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: collection %q is flag-configured and cannot be deleted", ErrRegistry, name)
 	}
 	delete(r.collections, name)
 	err := r.persistManifestLocked()
@@ -465,10 +475,11 @@ func (r *Registry) Delete(name string) error {
 	}
 	r.mu.Unlock()
 	// Shutdown happens outside the lock: a build (or WAL recovery) may
-	// be in flight, and close waits for it.
-	col.close()
+	// be in flight, and close waits for it. The checkpoint error does
+	// not matter: the store directory goes next.
+	_ = col.close()
 	if r.baseDir != "" {
-		os.RemoveAll(r.tenantDir(name))
+		os.RemoveAll(r.storeDir(name))
 	}
 	return err
 }
@@ -529,14 +540,14 @@ func (r *Registry) AwaitReady() error {
 	return r.Ready()
 }
 
-// Close shuts down every non-adopted collection (waiting for in-flight
-// builds first) and refuses further lifecycle calls. Adopted servers
-// stay open — their owner closes them.
-func (r *Registry) Close() {
+// Close shuts down every collection (waiting for in-flight builds
+// first), each with a final checkpoint, and refuses further lifecycle
+// calls. It returns the joined checkpoint errors.
+func (r *Registry) Close() error {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return
+		return nil
 	}
 	r.closed = true
 	cols := make([]*Collection, 0, len(r.collections))
@@ -544,15 +555,23 @@ func (r *Registry) Close() {
 		cols = append(cols, c)
 	}
 	r.mu.Unlock()
+	r.cancel()
+	var errs []error
 	for _, c := range cols {
-		if !c.adopted {
-			c.close()
+		if err := c.close(); err != nil {
+			errs = append(errs, fmt.Errorf("%w: final checkpoint of collection %q: %w", ErrRegistry, c.name, err))
 		}
 	}
+	return errors.Join(errs...)
 }
 
-// tenantDir is the per-collection store directory.
-func (r *Registry) tenantDir(name string) string {
+// storeDir is a collection's store directory: the BaseDir root for the
+// default (the single-tenant layout, so existing state directories keep
+// recovering), tenants/<name>/ for every other collection.
+func (r *Registry) storeDir(name string) string {
+	if name == DefaultCollection {
+		return r.baseDir
+	}
 	return filepath.Join(r.baseDir, "tenants", name)
 }
 
@@ -567,11 +586,12 @@ func (r *Registry) build(col *Collection) {
 	close(col.ready)
 }
 
-// buildCollection assembles one tenant's full vertical slice from its
-// spec: scheme contract, counter (ring or plain), job pool, telemetry
-// under the collection label, and — durable, non-windowed,
-// non-federated specs only — the tenant store, recovered before the
-// server takes traffic.
+// buildCollection assembles one collection's full vertical slice from
+// its spec: scheme contract, counter (ring or plain), job pool,
+// telemetry, and — durable, non-windowed, non-federated specs only —
+// the store, recovered before the server takes traffic. A coordinator
+// runs its warm federation sync here, so a collection is ready only
+// once it serves its first merged view.
 func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.Server, *federation.Coordinator, error) {
 	schema, err := spec.schema()
 	if err != nil {
@@ -581,13 +601,15 @@ func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.S
 		service.WithScheme(spec.Scheme),
 		service.WithShards(spec.Shards),
 		service.WithMineWorkers(spec.MineWorkers),
-		service.WithCollectionLabel(name),
+	}
+	opts = append(opts, r.srvOpts...)
+	// The default's series stay unlabeled, as they were before the
+	// registry existed; every other collection's carry its name.
+	if name != DefaultCollection {
+		opts = append(opts, service.WithCollectionLabel(name))
 	}
 	if r.metrics != nil {
 		opts = append(opts, service.WithTelemetry(r.metrics))
-	}
-	if r.access != nil {
-		opts = append(opts, service.WithAccessLog(r.access))
 	}
 	var st store.StateStore
 	switch {
@@ -598,11 +620,7 @@ func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.S
 		}
 		opts = append(opts, service.WithWindow(spec.WindowBuckets, bucket))
 	case r.baseDir != "" && len(spec.Peers) == 0:
-		dir := r.tenantDir(name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrRegistry, err)
-		}
-		fs, err := store.Open(dir, store.WithSyncMode(r.sync))
+		fs, err := store.Open(r.storeDir(name), store.WithSyncMode(r.sync))
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrRegistry, err)
 		}
@@ -623,9 +641,14 @@ func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.S
 			d, _ := time.ParseDuration(spec.SyncInterval)
 			fopts = append(fopts, federation.WithSyncInterval(d))
 		}
-		// No federation metrics here: the federation instruments are
-		// registered un-labeled, so only the process's default
-		// coordinator (frapp-server -peers) exposes them.
+		// The federation instruments are registered un-labeled, so only
+		// the default coordinator exposes them.
+		if name == DefaultCollection && r.metrics != nil {
+			fopts = append(fopts, federation.WithMetrics(r.metrics))
+		}
+		// The coordinator is built over the server's own scheme
+		// contract, so its fingerprint can never drift from what
+		// ReplaceCounter accepts.
 		coord, err = federation.NewCoordinator(srv.CounterScheme(), spec.Peers, srv.ReplaceCounter, fopts...)
 		if err == nil {
 			err = srv.EnableFederation(coord)
@@ -636,6 +659,12 @@ func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.S
 			}
 			srv.Close()
 			return nil, nil, err
+		}
+		// Per-peer failures of the warm pass are not fatal: the
+		// background loops keep retrying with backoff, and degraded
+		// peers show in the federation stats and metrics.
+		if err := coord.SyncAll(r.ctx); err != nil {
+			log.Printf("registry: collection %s: initial federation sync: %v", name, err)
 		}
 		coord.Start()
 	}
@@ -664,7 +693,7 @@ func (r *Registry) loadManifest() (map[string]CollectionSpec, error) {
 			ErrRegistry, filepath.Join(r.baseDir, manifestFile), err)
 	}
 	for name, spec := range m.Collections {
-		if !nameRE.MatchString(name) {
+		if !nameRE.MatchString(name) || name == DefaultCollection {
 			return nil, fmt.Errorf("%w: manifest holds bad collection name %q", ErrRegistry, name)
 		}
 		spec := spec
@@ -684,10 +713,9 @@ func (r *Registry) persistManifestLocked() error {
 	}
 	m := manifest{Version: 1, Collections: make(map[string]CollectionSpec)}
 	for name, col := range r.collections {
-		if col.adopted {
-			continue // flag-configured, not manifest-managed
+		if name != DefaultCollection { // flag-configured, not manifest-managed
+			m.Collections[name] = col.spec
 		}
-		m.Collections[name] = col.spec
 	}
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

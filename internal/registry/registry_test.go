@@ -9,12 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/service"
 	"repro/internal/telemetry"
@@ -43,7 +43,11 @@ func startRegistry(t *testing.T, o Options) (*Registry, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(reg.Close)
+	t.Cleanup(func() {
+		if err := reg.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	ts := httptest.NewServer(reg.Handler())
 	t.Cleanup(ts.Close)
 	return reg, ts
@@ -151,11 +155,27 @@ func TestCollectionLifecycleHTTP(t *testing.T) {
 	changed.Rho2 = 0.4
 	putCollection(t, ts, "alpha", changed, http.StatusConflict)
 
-	// Bad names and bad specs are 400s.
-	putCollection(t, ts, "UPPER", testSpec(), http.StatusBadRequest)
-	bad := testSpec()
-	bad.Schema = nil
-	putCollection(t, ts, "noschema", bad, http.StatusBadRequest)
+	// Bad names and bad specs are 400s — including specs whose error
+	// text echoes words of the conflict and cap errors.
+	noSchema := testSpec()
+	noSchema.Schema = nil
+	dupAttr := func(attr string) CollectionSpec {
+		spec := testSpec()
+		a := dataset.Attribute{Name: attr, Categories: []string{"x", "y"}}
+		spec.Schema = &SchemaSpec{Name: "dup", Attrs: []dataset.Attribute{a, a}}
+		return spec
+	}
+	for _, tc := range []struct {
+		name string
+		spec CollectionSpec
+	}{
+		{"UPPER", testSpec()},
+		{"noschema", noSchema},
+		{"dup-limit", dupAttr("limit")},
+		{"dup-exists", dupAttr("already exists")},
+	} {
+		putCollection(t, ts, tc.name, tc.spec, http.StatusBadRequest)
+	}
 	if status, _ := doJSON(t, ts, "PUT", "/v1/collections/raw", []byte("{nope")); status != http.StatusBadRequest {
 		t.Fatalf("bad JSON spec: %d, want 400", status)
 	}
@@ -201,28 +221,25 @@ func TestCollectionLifecycleHTTP(t *testing.T) {
 	if status, _ := doJSON(t, ts, "GET", "/v1/collections/ghost/v1/schema", nil); status != http.StatusNotFound {
 		t.Fatalf("data plane of unknown collection: %d, want 404", status)
 	}
-	// No default collection was adopted: legacy routes say so.
+	// No default spec was given: legacy routes say so, and the name
+	// stays reserved for one.
 	if status, _ := doJSON(t, ts, "GET", "/v1/schema", nil); status != http.StatusNotFound {
 		t.Fatalf("legacy route without default: %d, want 404", status)
 	}
+	putCollection(t, ts, DefaultCollection, testSpec(), http.StatusConflict)
 }
 
-// TestAdoptedDefaultServesLegacyRoutes: an adopted server answers both
-// the un-prefixed legacy routes and the path-scoped form, identically.
-func TestAdoptedDefaultServesLegacyRoutes(t *testing.T) {
-	reg, ts := startRegistry(t, Options{})
-	schema, err := dataset.NewSchema(testSchemaSpec().Name, testSchemaSpec().Attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := service.NewServer(schema, core.PrivacySpec{Rho1: 0.05, Rho2: 0.50}, service.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if _, err := reg.Adopt(DefaultCollection, srv); err != nil {
-		t.Fatal(err)
-	}
+// TestDefaultSpecServesLegacyRoutes: the default collection, built
+// from Options.Default, answers both the un-prefixed legacy routes and
+// the path-scoped form, identically; it reports its spec, stays under
+// its flags' control, keeps its store at the BaseDir root out of the
+// manifest, and emits unlabeled metric series.
+func TestDefaultSpecServesLegacyRoutes(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec()
+	spec.MineWorkers = 3
+	met := telemetry.NewRegistry()
+	_, ts := startRegistry(t, Options{BaseDir: dir, Metrics: met, Default: &spec})
 
 	legacy, err := service.NewClient(ts.URL, service.WithHTTPClient(ts.Client()))
 	if err != nil {
@@ -235,12 +252,52 @@ func TestAdoptedDefaultServesLegacyRoutes(t *testing.T) {
 	if !bytes.Equal(direct, scoped) {
 		t.Fatalf("legacy and scoped answers differ:\n%s\n%s", direct, scoped)
 	}
+	status, b := doJSON(t, ts, "GET", "/v1/collections/"+DefaultCollection, nil)
+	var info CollectionInfo
+	if err := json.Unmarshal(b, &info); status != http.StatusOK || err != nil {
+		t.Fatalf("get default: %d %v (%s)", status, err, b)
+	}
+	if !info.Default || info.Records != 120 || info.Spec.Rho1 != 0.05 || info.Spec.Rho2 != 0.5 || info.Spec.MineWorkers != 3 {
+		t.Fatalf("default info %+v, want the spec it was built from and 120 records", info)
+	}
 	// The default collection is flag-configured: delete refuses, and so
-	// does re-creating it over the adopted slot.
+	// does re-creating it, even with the identical spec.
 	if status, _ := doJSON(t, ts, "DELETE", "/v1/collections/"+DefaultCollection, nil); status != http.StatusForbidden {
 		t.Fatalf("delete default: %d, want 403", status)
 	}
 	putCollection(t, ts, DefaultCollection, testSpec(), http.StatusConflict)
+	putCollection(t, ts, DefaultCollection, spec, http.StatusConflict)
+
+	putCollection(t, ts, "named", testSpec(), http.StatusCreated)
+	ingestSeeded(t, collectionClient(t, ts, "named"), 10, 8)
+	manifest, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(manifest), `"named"`) || strings.Contains(string(manifest), `"default"`) {
+		t.Fatalf("manifest should list only the named collection:\n%s", manifest)
+	}
+	if ckpts, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*")); len(ckpts) == 0 {
+		t.Fatalf("no default store at the base directory root %s", dir)
+	}
+
+	var text bytes.Buffer
+	if err := met.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	expo, err := telemetry.ParseExposition(text.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]bool{}
+	for _, smp := range expo.Samples {
+		if smp.Name == "frapp_ingest_records_total" {
+			labels[smp.Labels["collection"]] = true
+		}
+	}
+	if !labels[""] || !labels["named"] || len(labels) != 2 {
+		t.Fatalf("frapp_ingest_records_total collection labels %v, want the unlabeled default and \"named\"", labels)
+	}
 }
 
 // TestCollectionIsolation is the tenant-isolation equivalence proof:
@@ -445,7 +502,7 @@ func TestRegistryReadyzDuringRecovery(t *testing.T) {
 func newBlocked(o Options, delay func(name string)) (*Registry, error) {
 	// The delay must be installed before New spawns manifest rebuilds,
 	// so this re-implements New's manifest pass with the seam set.
-	r, err := New(Options{MaxCollections: o.MaxCollections, Metrics: o.Metrics, AccessLog: o.AccessLog, SyncMode: o.SyncMode})
+	r, err := New(Options{MaxCollections: o.MaxCollections, Metrics: o.Metrics, ServerOptions: o.ServerOptions, SyncMode: o.SyncMode})
 	if err != nil {
 		return nil, err
 	}

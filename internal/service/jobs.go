@@ -214,6 +214,7 @@ type jobStore struct {
 	jobs   map[string]*job
 	order  []string // submission order, for stable listing and TTL sweeps
 	cache  map[mineKey]*cacheEntry
+	pins   []mineKey // keys of in-flight computations; see cacheGet
 	closed bool
 
 	nextID atomic.Uint64
@@ -445,11 +446,47 @@ func (st *jobStore) evictExpiredLocked() {
 	}
 }
 
-// cacheGet returns the cached Apriori result for key, if present.
+// cacheGet returns the cached Apriori result for key, if present. A
+// miss pins key until unpin: the caller's snapshot reports a version
+// at or above key.version, for which another job may already have
+// reported a result, so no entry with key's params from key.version up
+// is pruned meanwhile. A prune before the pin precedes the snapshot,
+// which therefore reports no older a version than that prune kept.
 func (st *jobStore) cacheGet(key mineKey) *cacheEntry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.cache[key]
+	if e := st.cache[key]; e != nil {
+		return e
+	}
+	st.pins = append(st.pins, key)
+	return nil
+}
+
+// unpin releases one pin taken by a cacheGet miss.
+func (st *jobStore) unpin(key mineKey) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i, p := range st.pins {
+		if p == key {
+			st.pins[i] = st.pins[len(st.pins)-1]
+			st.pins = st.pins[:len(st.pins)-1]
+			return
+		}
+	}
+}
+
+// pinnedLocked reports whether an in-flight computation may still
+// report k: one with k's params that read a version at or below k's.
+func (st *jobStore) pinnedLocked(k mineKey) bool {
+	for _, p := range st.pins {
+		if p.version <= k.version {
+			p.version = k.version
+			if p == k {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // cachePut stores a computed result and returns the canonical entry
@@ -461,7 +498,8 @@ func (st *jobStore) cacheGet(key mineKey) *cacheEntry {
 // computed on, but that counter is gone and the entry could never be
 // served. Every stored entry therefore carries the current generation,
 // and the prune below only needs to drop older snapshot versions (the
-// counter only moves forward, so they can never be requested again).
+// counter only moves forward, so new requests never ask for them) that
+// no pinned computation may still report.
 func (st *jobStore) cachePut(key mineKey, e *cacheEntry) *cacheEntry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -472,19 +510,23 @@ func (st *jobStore) cachePut(key mineKey, e *cacheEntry) *cacheEntry {
 		return e
 	}
 	for k := range st.cache {
-		if k.version < key.version {
+		if k.version < key.version && !st.pinnedLocked(k) {
 			delete(st.cache, k)
 		}
 	}
 	// Same-version entries (distinct params on an unchanged collection)
 	// survive the prune above, so enforce the cap by dropping arbitrary
-	// entries — the cache is a recomputation saver, not a correctness
-	// structure, and any evicted key is simply recomputed on next miss.
+	// unpinned entries. An evicted key is recomputed on its next miss,
+	// so a flood of more than maxCacheEntries parameter sets at one
+	// version can still see two results for one key; pinned entries may
+	// hold the cache over the cap until their computations finish.
 	for k := range st.cache {
 		if len(st.cache) < maxCacheEntries {
 			break
 		}
-		delete(st.cache, k)
+		if !st.pinnedLocked(k) {
+			delete(st.cache, k)
+		}
 	}
 	st.cache[key] = e
 	return e

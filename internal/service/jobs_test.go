@@ -478,3 +478,43 @@ func TestMineResponseBytesStable(t *testing.T) {
 		}
 	}
 }
+
+// TestMineCacheKeepsPinnedVersions replays the interleaving behind
+// "same (version, params) produced different results": jobs A and B
+// both miss at version 5 and B stores its result; C then stores one
+// at version 9, which would prune version 5 — but A may still report
+// version 5, so A's put must return B's entry, not its own.
+func TestMineCacheKeepsPinnedVersions(t *testing.T) {
+	st := newJobStore(1, time.Minute, func(MineParams) (*mineOutcome, error) { return nil, nil })
+	defer st.close()
+	at := func(v uint64) mineKey { return mineKey{version: v, minsup: 0.1, scheme: "gamma"} }
+	compute := func(key mineKey, e *cacheEntry) *cacheEntry {
+		t.Helper()
+		if st.cacheGet(key) != nil {
+			t.Fatalf("unexpected cache hit at version %d", key.version)
+		}
+		defer st.unpin(key)
+		return st.cachePut(key, e)
+	}
+
+	if st.cacheGet(at(5)) != nil { // job A misses and is still running
+		t.Fatal("empty cache hit")
+	}
+	b := &cacheEntry{records: 5}
+	if got := compute(at(5), b); got != b {
+		t.Fatal("first put at version 5 did not store its entry")
+	}
+	compute(at(9), &cacheEntry{records: 9})
+	if got := st.cachePut(at(5), &cacheEntry{records: 7}); got != b {
+		t.Fatalf("job A reports %d records at version 5, job B reported %d", got.records, b.records)
+	}
+	st.unpin(at(5))
+
+	// Once no computation can report version 5, the next put prunes it.
+	compute(at(12), &cacheEntry{records: 12})
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.cache[at(5)] != nil || len(st.pins) != 0 {
+		t.Fatalf("version 5 survived with no pins left (pins %v)", st.pins)
+	}
+}

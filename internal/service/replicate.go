@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/federation"
 	"repro/internal/mining"
 )
@@ -142,9 +141,6 @@ func (s *Server) Federated() bool { return s.fed.Load() != nil }
 // coordinators should be built from CounterScheme instead, which covers
 // every scheme.
 func (s *Server) Matrix() core.UniformMatrix { return s.matrix }
-
-// PublishedSchema returns the schema the server publishes on /v1/schema.
-func (s *Server) PublishedSchema() *dataset.Schema { return s.schema }
 
 // errFederated rejects direct submissions on a coordinator.
 var errFederated = fmt.Errorf("%w: federation coordinator does not accept submissions; submit to a collector site", ErrService)

@@ -145,7 +145,7 @@ func TestSchemeEndToEnd(t *testing.T) {
 
 			// Submit through the library: one single submit, the rest
 			// batched, all driven by one seeded stream.
-			schema := srv.PublishedSchema()
+			schema := srv.schema
 			db := randomDB(t, schema, records, 42)
 			rng := rand.New(rand.NewSource(seed))
 			if err := client.Submit(db.Records[0], rng); err != nil {
@@ -407,7 +407,7 @@ func TestSchemeStatePersistence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			db := randomDB(t, srv.PublishedSchema(), 300, 99)
+			db := randomDB(t, srv.schema, 300, 99)
 			if err := client.SubmitBatch(db.Records, rand.New(rand.NewSource(17))); err != nil {
 				t.Fatal(err)
 			}
@@ -577,7 +577,7 @@ func TestReplicateRejectsCrossScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := randomDB(t, srvMask.PublishedSchema(), 50, 3)
+	db := randomDB(t, srvMask.schema, 50, 3)
 	if err := client.SubmitBatch(db.Records, rand.New(rand.NewSource(4))); err != nil {
 		t.Fatal(err)
 	}

@@ -964,6 +964,7 @@ func (s *Server) executeMine(p MineParams) (*mineOutcome, error) {
 		}
 		return newMineOutcome(e, p, key.version, true, ref.vector)
 	}
+	defer s.jobs.unpin(key)
 	// Mine a frozen snapshot so every Apriori pass sees one consistent
 	// record count even while submissions keep arriving. A windowed mine
 	// folds only the requested bucket suffix of the ring.

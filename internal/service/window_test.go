@@ -54,7 +54,7 @@ func startWindowedServer(t *testing.T, buckets int, bucket time.Duration, opts .
 // the match-all filter, every single-attribute condition, and one pair.
 func windowProbeFilters(t *testing.T, srv *Server) []QueryFilter {
 	t.Helper()
-	schema := srv.PublishedSchema()
+	schema := srv.schema
 	filters := []QueryFilter{{}}
 	for _, a := range schema.Attrs {
 		for _, cat := range a.Categories {
