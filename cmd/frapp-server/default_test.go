@@ -6,17 +6,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/registry"
-	"repro/internal/service"
 )
 
 // startRun runs the server in the background and returns its base URL;
@@ -100,38 +97,29 @@ func TestRunDefaultSpecFromFlags(t *testing.T) {
 	}
 }
 
-// TestRunMigratesLegacyStateFile: a legacy single-file -state written
-// by SaveState becomes a store directory at boot, and its records are
-// served.
-func TestRunMigratesLegacyStateFile(t *testing.T) {
+// TestRunRefusesSingleFileState: a -state path that is a regular file
+// (the removed single-file format) fails startup with an error naming
+// the path and the reason, and the file is left as it was.
+func TestRunRefusesSingleFileState(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.gob")
-	srv, err := service.NewServer(dataset.CensusSchema(), core.PrivacySpec{Rho1: 0.05, Rho2: 0.5})
-	if err != nil {
+	content := []byte("single-file state")
+	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	const n = 3
-	for i := 0; i < n; i++ {
-		submitOne(t, ts.URL)
+	cfg := serverConfig{
+		addr: "127.0.0.1:0", schema: "census", rho1: 0.05, rho2: 0.5,
+		state: path, mineWorkers: 1, jobTTL: time.Minute,
 	}
-	ts.Close()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	err := run(context.Background(), cfg)
+	if err == nil {
+		t.Fatal("single-file -state accepted")
 	}
-	if err := srv.SaveState(f); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{path, "single-file", "removed"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-
-	base := startRun(t, serverConfig{schema: "census", rho1: 0.05, rho2: 0.5, state: path})
-	if got := statsRecords(t, base); got != n {
-		t.Fatalf("migrated server has %d records, want %d", got, n)
-	}
-	if info, err := os.Stat(path); err != nil || !info.IsDir() {
-		t.Fatalf("legacy -state file was not migrated into a directory: %v", err)
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(content) {
+		t.Fatalf("refused state file was modified: %q (err %v)", got, err)
 	}
 }

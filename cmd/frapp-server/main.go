@@ -82,10 +82,12 @@
 // -checkpoint-every records, and after a crash — kill -9 included — the
 // server restores the newest checkpoint and replays the WAL tail, so at
 // most one flush interval of submissions is at risk instead of
-// everything since startup. A legacy single-file -state path from older
-// releases is migrated into the directory automatically. The state
-// contains only perturbed marginal counts — no raw record ever reaches
-// the server in the FRAPP trust model. See docs/persistence.md.
+// everything since startup. Checkpoints hold the counter's full delta,
+// the same sparse format the WAL logs and /v1/replicate ships. A
+// -state path that is a regular file (the single-file format of earlier
+// releases) is refused. The state contains only perturbed counts — no
+// raw record ever reaches the server in the FRAPP trust model. See
+// docs/persistence.md.
 //
 // With -peers, the server runs as a federation COORDINATOR: it pulls
 // versioned counter deltas from the listed collector sites every
@@ -125,7 +127,7 @@ func main() {
 		scheme       = flag.String("scheme", "gamma", "perturbation scheme: gamma, mask, or cutpaste")
 		rho1         = flag.Float64("rho1", 0.05, "privacy prior bound rho1")
 		rho2         = flag.Float64("rho2", 0.50, "privacy posterior bound rho2")
-		state        = flag.String("state", "", "state directory for crash durability (optional; legacy state files are migrated)")
+		state        = flag.String("state", "", "state directory for crash durability (optional; single-file state from earlier releases is refused)")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "records between compacted checkpoints (0 = default 10000)")
 		walSync      = flag.String("wal-sync", "always", "WAL fsync policy: always or off")
 		walFlush     = flag.Duration("wal-flush", 0, "WAL flush interval (0 = default 200ms)")

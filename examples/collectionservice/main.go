@@ -1,8 +1,8 @@
 // Collection service: the full FRAPP deployment in one process — a
 // miner-side HTTP server that publishes the schema and privacy contract,
 // a population of clients that perturb locally and submit over HTTP, a
-// mining query against the reconstructed model, and a restart that
-// restores the server's state from disk without losing a submission.
+// mining query against the reconstructed model, and a restart over the
+// server's durable state directory without losing a submission.
 package main
 
 import (
@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strconv"
 	"time"
 
@@ -25,7 +24,18 @@ func main() {
 	schema := frapp.CensusSchema()
 	priv := frapp.PrivacySpec{Rho1: 0.05, Rho2: 0.50}
 
-	server, err := frapp.NewCollectionServer(schema, priv, frapp.WithMineWorkers(2))
+	// The server logs every accepted submission to a state directory
+	// (checkpoints plus a delta write-ahead log) as it arrives.
+	stateDir, err := os.MkdirTemp("", "frapp-example-state")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(stateDir)
+	st, err := frapp.OpenStateStore(stateDir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	server, err := frapp.NewCollectionServer(schema, priv, frapp.WithMineWorkers(2), frapp.WithCollectionStore(st))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,25 +95,19 @@ func main() {
 	}
 	fmt.Printf("re-mine served from cache: %v (version %d)\n", again.Cached, again.SnapshotVersion)
 
-	// Durability: persist, restart, and verify nothing was lost.
-	statePath := filepath.Join(os.TempDir(), "frapp-example-state.gob")
-	defer os.Remove(statePath)
-	if err := server.PersistStateFile(statePath); err != nil {
-		log.Fatal(err)
-	}
-	restored, err := frapp.NewCollectionServer(schema, priv)
+	// Durability: shut down (flushing the log), restart over the same
+	// directory, and verify nothing was lost.
+	server.Close()
+	st, err = frapp.OpenStateStore(stateDir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	f, err := os.Open(statePath)
+	restored, err := frapp.NewCollectionServer(schema, priv, frapp.WithCollectionStore(st))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := restored.LoadState(f); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Printf("after restart: %d submissions restored from %s\n", restored.N(), statePath)
+	defer restored.Close()
+	fmt.Printf("after restart: %d submissions restored from %s\n", restored.N(), stateDir)
 }
 
 func min(a, b int) int {

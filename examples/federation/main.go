@@ -10,14 +10,13 @@
 // population — something no single site could even phrase.
 //
 // The last act is the operational hard case: one site restores an older
-// -state snapshot mid-run. Its counter generation bumps, the
+// snapshot of its counter mid-run. Its counter generation bumps, the
 // coordinator full-resyncs that site, and the global view re-converges
 // to the true union — never double-counting, never serving the stale
 // contribution.
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -98,25 +97,29 @@ func main() {
 	}
 	showEstimates(coordClient, schema, population, filters)
 
-	// The hard case: site 0 saves state, keeps collecting, then restores
-	// the older snapshot (a crash recovery). Generation handling forces
-	// the coordinator into a clean full re-pull of that site.
-	var snapshot bytes.Buffer
-	check(sites[0].SaveState(&snapshot))
-	extra, err := frapp.GenerateCensus(5000, 11)
-	check(err)
+	// The hard case: site 0 snapshots its counter (a full replication
+	// pull — the same form a checkpoint stores), keeps collecting, then
+	// restores the older snapshot (a crash recovery). Generation handling
+	// forces the coordinator into a clean full re-pull of that site.
 	site0Client, err := frapp.NewCollectionClient(siteTS[0].URL, frapp.WithHTTPClient(siteTS[0].Client()))
+	check(err)
+	snapshot, err := site0Client.Replicate(0, 0)
+	check(err)
+	extra, err := frapp.GenerateCensus(5000, 11)
 	check(err)
 	check(site0Client.SubmitBatch(extra.Records, rng))
 	check(coord.SyncAll(context.Background()))
 	preRestore, err := coordClient.Stats()
 	check(err)
 
-	check(sites[0].LoadState(&snapshot))
+	older, err := frapp.NewShardedCounter(sites[0].CounterScheme(), sites[0].Shards())
+	check(err)
+	check(older.ApplyDelta(snapshot))
+	check(sites[0].ReplaceCounter(older, nil))
 	check(coord.SyncAll(context.Background()))
 	postRestore, err := coordClient.Stats()
 	check(err)
-	fmt.Printf("\nsite 0 restored an older -state snapshot: global %d → %d records "+
+	fmt.Printf("\nsite 0 restored an older snapshot: global %d → %d records "+
 		"(the %d post-snapshot submissions left the global view cleanly — no double count, no stale serve)\n",
 		preRestore.Records, postRestore.Records, preRestore.Records-postRestore.Records)
 	fs, err = coordClient.FederationStats()

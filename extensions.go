@@ -14,6 +14,7 @@ import (
 	"repro/internal/mining"
 	"repro/internal/query"
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 // Classification (see internal/classify).
@@ -80,6 +81,12 @@ var (
 	WithJobTTL = service.WithJobTTL
 	// WithQueryLimit caps the filters of one /v1/query batch.
 	WithQueryLimit = service.WithQueryLimit
+	// WithCollectionStore makes the server durable: it recovers its
+	// counter from the store at construction and logs every change.
+	WithCollectionStore = service.WithStore
+	// OpenStateStore opens (or creates) a durable state directory of
+	// checkpoints plus a delta write-ahead log.
+	OpenStateStore = store.Open
 )
 
 // Federation (see internal/federation and internal/mining/delta.go):

@@ -45,6 +45,7 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mining"
@@ -208,7 +209,11 @@ type Coordinator struct {
 	pmet map[string]*peerMetrics
 
 	// pubMu serializes merge+publish so counters publish in order.
-	pubMu            sync.Mutex
+	pubMu sync.Mutex
+	// unpublished is set after every replica change and cleared (under
+	// pubMu) when a merge starts, so SyncAll can tell whether a change a
+	// background pull made is still waiting for its publish.
+	unpublished      atomic.Bool
 	publishedRecords int
 	publishedVector  map[string]uint64
 	publishes        uint64
@@ -362,13 +367,14 @@ func (co *Coordinator) nextDelay(p *peer) time.Duration {
 }
 
 // SyncAll performs one synchronous pull of every peer and publishes the
-// merged counter if anything changed. It returns the joined per-peer
+// merged counter if any replica changed since the last publish — by
+// this call's pulls or a background one's — so on return the published
+// view holds every change pulled so far. It returns the joined per-peer
 // errors (nil when every pull succeeded); a partial failure still merges
 // and publishes what did succeed. Used at coordinator startup for a warm
 // first view, by the demo, and by tests that need deterministic syncs.
 func (co *Coordinator) SyncAll(ctx context.Context) error {
 	errs := make([]error, len(co.peers))
-	changes := make([]bool, len(co.peers))
 	var wg sync.WaitGroup
 	// Peers pull concurrently — they are independent, and syncPeer
 	// already serializes per peer — with the same per-request timeout as
@@ -381,19 +387,19 @@ func (co *Coordinator) SyncAll(ctx context.Context) error {
 			defer wg.Done()
 			pullCtx, cancel := context.WithTimeout(ctx, co.cfg.timeout)
 			defer cancel()
-			c, err := co.syncPeer(pullCtx, p)
-			if err != nil {
+			if _, err := co.syncPeer(pullCtx, p); err != nil {
 				errs[i] = fmt.Errorf("peer %s: %w", p.url, err)
 			}
-			changes[i] = c
 		}(i, p)
 	}
 	wg.Wait()
-	for _, c := range changes {
-		if c {
-			co.publishMerged()
-			break
-		}
+	// Taking pubMu waits out a background publish already merging; a
+	// change it did not merge leaves the flag set.
+	co.pubMu.Lock()
+	pending := co.unpublished.Load()
+	co.pubMu.Unlock()
+	if pending {
+		co.publishMerged()
 	}
 	return errors.Join(errs...)
 }
@@ -432,6 +438,9 @@ func (co *Coordinator) syncPeer(ctx context.Context, p *peer) (changed bool, err
 			p.failures = 0
 			p.syncs++
 			p.lastSync = time.Now()
+		}
+		if changed {
+			co.unpublished.Store(true)
 		}
 	}()
 
@@ -493,6 +502,7 @@ func (co *Coordinator) syncPeer(ctx context.Context, p *peer) (changed bool, err
 func (co *Coordinator) publishMerged() {
 	co.pubMu.Lock()
 	defer co.pubMu.Unlock()
+	co.unpublished.Store(false)
 	merged := co.scheme.NewCore()
 	vector := make(map[string]uint64, len(co.peers))
 	for _, p := range co.peers {

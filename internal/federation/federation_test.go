@@ -262,8 +262,8 @@ func TestFederationEquivalenceProperty(t *testing.T) {
 }
 
 // TestFederationPeerRestoreNeverRegresses is the generation half of the
-// acceptance property: a mid-sync peer -state restore bumps the peer's
-// counter generation, forcing the coordinator into a clean full re-pull
+// acceptance property: a mid-sync peer restore of an older snapshot
+// bumps the peer's counter generation, forcing the coordinator into a clean full re-pull
 // — the global view re-converges to the true union and never
 // double-counts the records that survived the restore.
 func TestFederationPeerRestoreNeverRegresses(t *testing.T) {
@@ -279,8 +279,12 @@ func TestFederationPeerRestoreNeverRegresses(t *testing.T) {
 
 	submitBatch(t, schema, sites[0].ts.URL, keepA)
 	submitBatch(t, schema, sites[1].ts.URL, recsB)
-	var state bytes.Buffer
-	if err := sites[0].srv.SaveState(&state); err != nil {
+	site0, err := service.NewClient(sites[0].ts.URL, service.WithHTTPClient(sites[0].ts.Client()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := site0.Replicate(0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	submitBatch(t, schema, sites[0].ts.URL, lostA)
@@ -295,9 +299,16 @@ func TestFederationPeerRestoreNeverRegresses(t *testing.T) {
 		t.Fatalf("pre-restore global %d records, want %d", st.Records, len(keepA)+len(lostA)+len(recsB))
 	}
 
-	// The restore: site 0 drops back to the saved state (generation
-	// bump), then collects different records.
-	if err := sites[0].srv.LoadState(&state); err != nil {
+	// The restore: site 0 drops back to the snapshot (generation bump),
+	// then collects different records.
+	restored, err := mining.NewShardedCounter(sites[0].srv.CounterScheme(), sites[0].srv.Shards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ApplyDelta(snapshot); err != nil {
+		t.Fatal(err)
+	}
+	if err := sites[0].srv.ReplaceCounter(restored, nil); err != nil {
 		t.Fatal(err)
 	}
 	submitBatch(t, schema, sites[0].ts.URL, afterA)

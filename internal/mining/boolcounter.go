@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -58,7 +57,7 @@ type boolCore struct {
 
 // boolEstimator is the per-scheme reconstruction behind a boolCore:
 // MASK's tensor inverse or C&P's partial-support solve, plus the scheme
-// identity for fingerprints and persistence.
+// identity for fingerprints.
 type boolEstimator interface {
 	name() string
 	mapping() *core.BoolMapping
@@ -69,10 +68,6 @@ type boolEstimator interface {
 	// patternWeights returns w with estimate = Σ_idx w[idx]·counts[idx],
 	// feeding the plug-in multinomial variance of Estimates.
 	patternWeights(l int) ([]float64, error)
-	// fillMeta / checkMeta are the scheme-parameter halves of the v3
-	// persistence format.
-	fillMeta(st *counterState)
-	checkMeta(st *counterState) error
 }
 
 func newBoolCore(est boolEstimator) *boolCore {
@@ -363,75 +358,6 @@ func (c *boolCore) addJointInto(joint map[uint64]float64) int {
 	return c.n
 }
 
-// saveShard deep-copies the core's state as sparse cells, sorted by
-// index so saved states are deterministic.
-func (c *boolCore) saveShard() shardState {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	cells := make([]DeltaCell, len(c.rows))
-	for s, row := range c.rows {
-		cells[s] = DeltaCell{Idx: row, Count: float64(c.count(s))}
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Idx < cells[j].Idx })
-	return shardState{N: c.n, Cells: cells}
-}
-
-// restoreShard validates one saved shard payload — cell ranges,
-// integer counts in [1, 2^53], and the record-count sum — and folds it
-// in. Callers restore into freshly built counters only.
-func (c *boolCore) restoreShard(sh shardState) error {
-	if sh.N < 0 {
-		return fmt.Errorf("%w: negative record count %d", ErrMining, sh.N)
-	}
-	if len(sh.Hists) != 0 {
-		return fmt.Errorf("%w: state carries dense histograms, not a boolean counter payload", ErrMining)
-	}
-	var sum float64
-	for _, cell := range sh.Cells {
-		if !c.inDomain(cell.Idx) {
-			return fmt.Errorf("%w: state cell index %d outside boolean domain 2^%d", ErrMining, cell.Idx, c.mb)
-		}
-		if err := boolCellCount(cell.Count, cell.Idx); err != nil {
-			return err
-		}
-		sum += cell.Count
-	}
-	if diff := sum - float64(sh.N); diff > 1e-6 || diff < -1e-6 {
-		return fmt.Errorf("%w: state cells total %v, want %d records", ErrMining, sum, sh.N)
-	}
-	c.applyCells(sh.Cells, sh.N)
-	return nil
-}
-
-// checkState validates decoded state metadata against this core's
-// contract.
-func (c *boolCore) checkState(st *counterState) error {
-	schema := c.Schema()
-	if st.SchemaName != schema.Name || st.M != schema.M() || st.DomainSize != schema.DomainSize() {
-		return fmt.Errorf("%w: state was saved for schema %q (M=%d, |S_U|=%d), not %q (M=%d, |S_U|=%d)",
-			ErrMining, st.SchemaName, st.M, st.DomainSize, schema.Name, schema.M(), schema.DomainSize())
-	}
-	if st.Mb != c.est.mapping().Mb {
-		return fmt.Errorf("%w: state was saved under a %d-bit boolean encoding, counter uses %d", ErrMining, st.Mb, c.est.mapping().Mb)
-	}
-	return c.est.checkMeta(st)
-}
-
-// stateMeta fills the v3 scheme-tagged state header.
-func (c *boolCore) stateMeta(version int) counterState {
-	schema := c.Schema()
-	st := counterState{
-		Version:    version,
-		Scheme:     c.Scheme(),
-		SchemaName: schema.Name,
-		M:          schema.M(),
-		DomainSize: schema.DomainSize(),
-		Mb:         c.est.mapping().Mb,
-	}
-	c.est.fillMeta(&st)
-	return st
-}
-
 // boolBatch is a prepared candidate batch over boolean cores: per
 // candidate, the bit positions of its items and the accumulated counts
 // of every observed bit-combination pattern.
@@ -659,15 +585,6 @@ func (e maskEstimator) patternWeights(l int) ([]float64, error) {
 	return e.s.PatternWeights(l)
 }
 
-func (e maskEstimator) fillMeta(st *counterState) { st.MaskP = e.s.P }
-
-func (e maskEstimator) checkMeta(st *counterState) error {
-	if st.MaskP != e.s.P {
-		return fmt.Errorf("%w: state was saved under MASK p=%g, counter uses p=%g", ErrMining, st.MaskP, e.s.P)
-	}
-	return nil
-}
-
 // cutPasteEstimator adapts core.CutPasteScheme to the boolCore
 // contract. Pattern counts are folded to partial supports (counts per
 // number of present itemset items) before the solve, so the estimate is
@@ -709,19 +626,6 @@ func (e cutPasteEstimator) patternWeights(l int) ([]float64, error) {
 		w[idx] = v[bits.OnesCount(uint(idx))]
 	}
 	return w, nil
-}
-
-func (e cutPasteEstimator) fillMeta(st *counterState) {
-	st.CutK = e.s.K
-	st.CutRho = e.s.Rho
-}
-
-func (e cutPasteEstimator) checkMeta(st *counterState) error {
-	if st.CutK != e.s.K || st.CutRho != e.s.Rho {
-		return fmt.Errorf("%w: state was saved under C&P K=%d rho=%g, counter uses K=%d rho=%g",
-			ErrMining, st.CutK, st.CutRho, e.s.K, e.s.Rho)
-	}
-	return nil
 }
 
 // fingerprintSchema writes the schema identity — name plus every

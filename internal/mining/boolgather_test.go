@@ -93,6 +93,13 @@ func sortedCells(joint map[uint64]float64) []DeltaCell {
 	return cells
 }
 
+// coreCells returns a core's joint histogram as sorted cells.
+func coreCells(c CounterCore) []DeltaCell {
+	joint := make(map[uint64]float64)
+	c.addJointInto(joint)
+	return sortedCells(joint)
+}
+
 func cellsRecords(cells []DeltaCell) int {
 	n := 0
 	for _, c := range cells {
@@ -103,9 +110,9 @@ func cellsRecords(cells []DeltaCell) int {
 
 // TestBoolGatherMatchesScan builds cores whose slot counts straddle the
 // 64-slot word boundary, with multiplicities that carry across several
-// bit-planes (large counts restored and applied as deltas, then bumped
-// by single ingests), and checks every pattern count of every itemset
-// length against the scan oracle with ==.
+// bit-planes (large counts applied as a full and an incremental delta,
+// then bumped by single ingests), and checks every pattern count of
+// every itemset length against the scan oracle with ==.
 func TestBoolGatherMatchesScan(t *testing.T) {
 	for _, schema := range []*dataset.Schema{deltaTestSchema(t), wideBinarySchema(t)} {
 		for _, scheme := range boolSchemes(t, schema) {
@@ -123,10 +130,10 @@ func TestBoolGatherMatchesScan(t *testing.T) {
 						joint[row] = 0
 						rows = append(rows, row)
 					}
-					// Thirds: restored state, an applied delta, and single
-					// ingests. Restored and delta counts are 2^k - 1 for
-					// k up to 40, so the ingests below carry through
-					// every plane.
+					// Thirds: a full delta (the restored checkpoint), an
+					// incremental delta, and single ingests. Delta counts
+					// are 2^k - 1 for k up to 40, so the ingests below
+					// carry through every plane.
 					var restored, delta []DeltaCell
 					for i, row := range rows {
 						cnt := float64(uint64(1)<<uint(rng.Intn(41)) - 1)
@@ -143,7 +150,7 @@ func TestBoolGatherMatchesScan(t *testing.T) {
 						}
 						joint[row] += cnt
 					}
-					if err := c.restoreShard(shardState{N: cellsRecords(restored), Cells: restored}); err != nil {
+					if err := c.ApplyDelta(&CounterDelta{Fingerprint: c.Fingerprint(), Records: cellsRecords(restored), Cells: restored}); err != nil {
 						t.Fatal(err)
 					}
 					if err := c.ApplyDelta(&CounterDelta{Fingerprint: c.Fingerprint(), Records: cellsRecords(delta), Cells: delta}); err != nil {
@@ -156,8 +163,8 @@ func TestBoolGatherMatchesScan(t *testing.T) {
 						joint[row]++
 					}
 					want := sortedCells(joint)
-					if got := c.saveShard().Cells; !reflect.DeepEqual(got, want) {
-						t.Fatalf("saved cells differ from the joint histogram")
+					if got := coreCells(c); !reflect.DeepEqual(got, want) {
+						t.Fatalf("core cells differ from the joint histogram")
 					}
 
 					var cands []Itemset
@@ -303,8 +310,9 @@ func TestBoolShardedAndWindowedMatchSingle(t *testing.T) {
 }
 
 // TestBoolCellCountsMustBeIntegers pins the trust boundary the
-// bit-planes rely on: a delta or saved state whose cell counts are not
-// exact integers in [1, 2^53] is rejected and the counter is untouched.
+// bit-planes rely on: a delta (replicated, logged, or checkpointed)
+// whose cell counts are not exact integers in [1, 2^53] is rejected and
+// the counter is untouched.
 func TestBoolCellCountsMustBeIntegers(t *testing.T) {
 	schema := deltaTestSchema(t)
 	bad := []struct {
@@ -326,15 +334,12 @@ func TestBoolCellCountsMustBeIntegers(t *testing.T) {
 				if err := c.Ingest([]Item{{Attr: 0, Value: 1}, {Attr: 2, Value: 3}}); err != nil {
 					t.Fatal(err)
 				}
-				before := c.saveShard()
+				before := coreCells(c)
 				err := c.ApplyDelta(&CounterDelta{Fingerprint: c.Fingerprint(), Records: tc.records, Cells: tc.cells})
 				if !errors.Is(err, ErrMining) {
 					t.Fatalf("ApplyDelta accepted counts %v (err %v)", tc.cells, err)
 				}
-				if err := c.restoreShard(shardState{N: tc.records, Cells: tc.cells}); !errors.Is(err, ErrMining) {
-					t.Fatalf("restoreShard accepted counts %v (err %v)", tc.cells, err)
-				}
-				if after := c.saveShard(); !reflect.DeepEqual(after, before) || c.N() != 1 {
+				if after := coreCells(c); !reflect.DeepEqual(after, before) || c.N() != 1 {
 					t.Fatalf("rejected input changed the counter: %+v -> %+v", before, after)
 				}
 			})

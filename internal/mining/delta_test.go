@@ -1,7 +1,6 @@
 package mining
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -417,8 +416,8 @@ func TestNewShardedFromSnapshotServesMergedState(t *testing.T) {
 	if math.Abs(want[0]-got[0]) > 1e-9 {
 		t.Fatalf("support %v, want %v", got[0], want[0])
 	}
-	// The wrapped counter participates in replication: a full pull
-	// reproduces it.
+	// The wrapped counter participates in replication and persistence: a
+	// full pull (also the checkpoint body) reproduces it.
 	d, err := wrapped.DeltaSince(0)
 	if err != nil {
 		t.Fatal(err)
@@ -431,14 +430,4 @@ func TestNewShardedFromSnapshotServesMergedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	countersEqual(t, src, replica)
-	// Still save/load compatible (the persist path of a coordinator).
-	var buf bytes.Buffer
-	if err := wrapped.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadMaterializedGammaCounter(&buf, s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	countersEqual(t, src, loaded)
 }

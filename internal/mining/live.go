@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -18,8 +17,8 @@ import (
 // is the per-shard engine a ShardedCounter stripes over. Gamma, MASK,
 // and cut-and-paste each provide a core; everything above the core —
 // lock-striped ingestion, merge-on-demand reads, snapshot versioning,
-// v3 persistence, replication deltas — is written once against these
-// interfaces and works for all three.
+// replication deltas (which are also the persisted form) — is written
+// once against these interfaces and works for all three.
 
 // Scheme names. Gamma is the default and the paper's recommended scheme:
 // the gamma-diagonal matrix minimizes the reconstruction condition
@@ -92,8 +91,6 @@ type LiveCounter interface {
 	// SnapshotVersioned folds the counter into one frozen SupportCounter
 	// (minable by Apriori) together with the version it is valid for.
 	SnapshotVersioned() (SupportCounter, uint64)
-	// Save persists the counter (restored by LoadLiveCounter).
-	Save(w io.Writer) error
 	// Fingerprint is the compatibility fingerprint: a hash of the scheme
 	// identifier, schema, and scheme parameters. Counters merge — via
 	// federation deltas or state restores — only on exact match.
@@ -173,12 +170,6 @@ type CounterCore interface {
 	// sparse accumulator and returns the core's record count — the
 	// replication-delta primitive.
 	addJointInto(joint map[uint64]float64) int
-	// saveShard / restoreShard / checkState / stateMeta are the v3
-	// scheme-tagged persistence hooks (see persist.go).
-	saveShard() shardState
-	restoreShard(sh shardState) error
-	checkState(st *counterState) error
-	stateMeta(version int) counterState
 }
 
 // preparedIngest is a validated, scheme-specific batch of records ready

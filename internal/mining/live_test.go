@@ -1,7 +1,6 @@
 package mining
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/bits"
@@ -298,9 +297,10 @@ func TestLiveSchemesMatchOfflineCounters(t *testing.T) {
 	}
 }
 
-// TestLiveSchemesPersistRoundTrip: for every scheme, state saved from a
-// k-shard counter restores into counters of several shard counts with
-// identical supports, and cross-scheme restores are rejected.
+// TestLiveSchemesPersistRoundTrip: for every scheme, the persisted form
+// of a k-shard counter (its full delta) restores into counters of
+// several shard counts with identical supports, and cross-scheme
+// restores are rejected.
 func TestLiveSchemesPersistRoundTrip(t *testing.T) {
 	db := buildSkewedDB(t, 2000, 190)
 	schema := db.Schema
@@ -322,13 +322,12 @@ func TestLiveSchemesPersistRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := orig.Save(&buf); err != nil {
+			state, err := orig.DeltaSince(0)
+			if err != nil {
 				t.Fatal(err)
 			}
-			raw := buf.Bytes()
 			for _, shards := range []int{1, 2, 4, 7} {
-				back, err := LoadLiveCounter(bytes.NewReader(raw), ls.scheme, shards)
+				back, err := restoreCounter(ls.scheme, shards, state)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -349,12 +348,12 @@ func TestLiveSchemesPersistRoundTrip(t *testing.T) {
 				}
 			}
 			// Cross-scheme restore: every OTHER scheme must reject this
-			// state file.
+			// state.
 			for _, other := range schemes {
 				if other.name == ls.name {
 					continue
 				}
-				if _, err := LoadLiveCounter(bytes.NewReader(raw), other.scheme, 2); !errors.Is(err, ErrMining) {
+				if _, err := restoreCounter(other.scheme, 2, state); !errors.Is(err, ErrMining) {
 					t.Errorf("state saved under %s restored into %s: %v", ls.name, other.name, err)
 				}
 			}

@@ -1,16 +1,42 @@
 package mining
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
+
+// The persisted form of a counter is its full CounterDelta
+// (DeltaSince(0)): the store writes it as the checkpoint body and
+// restores it with NewShardedCounter + ApplyDelta. These tests pin that
+// round trip and the validation ApplyDelta performs on it.
+
+// fullDelta returns the persisted form of a frozen gamma counter.
+func fullDelta(t *testing.T, c *MaterializedGammaCounter) *CounterDelta {
+	t.Helper()
+	d, err := NewShardedFromSnapshot(c).DeltaSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// restoreCounter rebuilds a live counter from a persisted full delta,
+// exactly as the store recovers a checkpoint.
+func restoreCounter(scheme CounterScheme, shards int, d *CounterDelta) (*ShardedCounter, error) {
+	c, err := NewShardedCounter(scheme, shards)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.ApplyDelta(d); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
 func TestCounterSaveLoadRoundTrip(t *testing.T) {
 	db := buildSkewedDB(t, 5000, 50)
@@ -28,12 +54,11 @@ func TestCounterSaveLoadRoundTrip(t *testing.T) {
 	if err := c.AddDatabase(pdb); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	back, err := NewMaterializedGammaCounter(sc, m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadMaterializedGammaCounter(&buf, sc, m)
-	if err != nil {
+	if err := back.ApplyDelta(fullDelta(t, c)); err != nil {
 		t.Fatal(err)
 	}
 	if back.N() != c.N() {
@@ -74,18 +99,17 @@ func TestLoadRejectsMismatchedSchema(t *testing.T) {
 	if err := c.AddDatabase(db); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	d := fullDelta(t, c)
 	other := dataset.CensusSchema()
 	om, _ := core.NewGammaDiagonal(other.DomainSize(), 19)
-	if _, err := LoadMaterializedGammaCounter(bytes.NewReader(buf.Bytes()), other, om); !errors.Is(err, ErrMining) {
+	oc, _ := NewMaterializedGammaCounter(other, om)
+	if err := oc.ApplyDelta(d); !errors.Is(err, ErrMining) {
 		t.Fatal("mismatched schema accepted")
 	}
 	// Same schema, different matrix.
 	m2, _ := core.NewGammaDiagonal(sc.DomainSize(), 9)
-	if _, err := LoadMaterializedGammaCounter(bytes.NewReader(buf.Bytes()), sc, m2); !errors.Is(err, ErrMining) {
+	c2, _ := NewMaterializedGammaCounter(sc, m2)
+	if err := c2.ApplyDelta(d); !errors.Is(err, ErrMining) {
 		t.Fatal("mismatched matrix accepted")
 	}
 }
@@ -93,8 +117,21 @@ func TestLoadRejectsMismatchedSchema(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	sc := miningSchema(t)
 	m, _ := core.NewGammaDiagonal(sc.DomainSize(), 19)
-	if _, err := LoadMaterializedGammaCounter(strings.NewReader("not gob"), sc, m); !errors.Is(err, ErrMining) {
-		t.Fatal("garbage accepted")
+	fp := CompatibilityFingerprint(sc, m)
+	garbage := []*CounterDelta{
+		nil,
+		{Fingerprint: "not a fingerprint", Records: 1, Cells: []DeltaCell{{Idx: 0, Count: 1}}},
+		{Fingerprint: fp, Records: 1, Cells: []DeltaCell{{Idx: uint64(sc.DomainSize()), Count: 1}}},
+		{Fingerprint: fp, Records: -1},
+	}
+	for i, d := range garbage {
+		c, _ := NewMaterializedGammaCounter(sc, m)
+		if err := c.ApplyDelta(d); !errors.Is(err, ErrMining) {
+			t.Fatalf("garbage payload %d accepted", i)
+		}
+		if c.N() != 0 {
+			t.Fatalf("garbage payload %d changed the counter", i)
+		}
 	}
 }
 
@@ -106,14 +143,12 @@ func TestLoadRejectsTamperedState(t *testing.T) {
 	if err := c.AddDatabase(db); err != nil {
 		t.Fatal(err)
 	}
-	// Tamper: inconsistent per-subset totals must be rejected. Corrupt
-	// by mutating a histogram before save.
-	c.hists[1][0] += 5
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadMaterializedGammaCounter(&buf, sc, m); !errors.Is(err, ErrMining) {
+	// Tamper: cells that no longer total the record count must be
+	// rejected.
+	d := fullDelta(t, c)
+	d.Cells[0].Count += 5
+	back, _ := NewMaterializedGammaCounter(sc, m)
+	if err := back.ApplyDelta(d); !errors.Is(err, ErrMining) {
 		t.Fatal("inconsistent totals accepted")
 	}
 }

@@ -9,7 +9,7 @@ import "fmt"
 // by loading a compacted checkpoint and replaying the chain's tail.
 // This file provides the two primitives that makes possible on the
 // counter itself: applying a delta to a LIVE counter (recovery replay
-// and checkpoint compaction both fold deltas into fresh counters), and
+// and checkpoint restore both fold deltas into fresh counters), and
 // persisting/restoring the replication identity (delta epoch, retained
 // baselines, token high-water mark) so federation pullers can resume
 // incremental replication against a restarted process instead of

@@ -1,10 +1,7 @@
 package mining
 
 import (
-	"bytes"
-	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -115,15 +112,15 @@ func TestReplicationStateRoundTrip(t *testing.T) {
 	}
 
 	// "Crash": rebuild from persisted state, restore the identity.
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	state, err := src.DeltaSince(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	scheme, err := NewGammaScheme(s, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadLiveCounter(&buf, scheme, 2)
+	restored, err := restoreCounter(scheme, 2, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,55 +205,5 @@ func TestRestoreReplicationStateDropsInvalidBaselines(t *testing.T) {
 	// An epoch-less identity (no counter ever persisted one) is rejected.
 	if err := restored.RestoreReplicationState(ReplicationState{}); err == nil {
 		t.Fatal("zero epoch accepted")
-	}
-}
-
-func TestDecodeStateWrapsCorruptPayloads(t *testing.T) {
-	s := deltaTestSchema(t)
-	m := deltaTestMatrix(t, s)
-	scheme, err := NewGammaScheme(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name    string
-		payload []byte
-	}{
-		{"zero-byte", nil},
-		{"truncated", []byte{0x2c, 0xff}},
-		{"garbage", []byte("this is not a gob stream at all")},
-	}
-	for _, tc := range cases {
-		_, err := LoadLiveCounter(bytes.NewReader(tc.payload), scheme, 1)
-		if err == nil {
-			t.Fatalf("%s payload accepted", tc.name)
-		}
-		if !errors.Is(err, ErrCorruptState) {
-			t.Fatalf("%s payload error %v does not wrap ErrCorruptState", tc.name, err)
-		}
-	}
-	// A VALID payload under the wrong scheme is a contract mismatch, not
-	// corruption — the distinction the CLI error message relies on.
-	var buf bytes.Buffer
-	src, err := NewShardedGammaCounter(s, m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	mask, err := SchemeForContract(SchemeMask, s, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadLiveCounter(&buf, mask, 1)
-	if err == nil {
-		t.Fatal("cross-scheme restore accepted")
-	}
-	if errors.Is(err, ErrCorruptState) {
-		t.Fatalf("scheme mismatch %v misreported as corruption", err)
-	}
-	if !strings.Contains(err.Error(), "scheme") {
-		t.Fatalf("mismatch error %q does not explain the scheme conflict", err)
 	}
 }

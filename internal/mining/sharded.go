@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -295,7 +294,7 @@ func (c *ShardedCounter) SnapshotVersioned() (SupportCounter, uint64) {
 }
 
 // snapshotCore is SnapshotVersioned returning the concrete core, for
-// package-internal callers (persist, delta) that need core plumbing.
+// package-internal callers that need core plumbing.
 func (c *ShardedCounter) snapshotCore() (CounterCore, uint64) {
 	version := c.version.Load()
 	merged := c.scheme.NewCore()
@@ -370,6 +369,3 @@ func (c *ShardedCounter) Estimates(filters []Itemset) ([]PointEstimate, int, err
 	}
 	return ests, b.records(), nil
 }
-
-// Save serializes the counter; see persist.go.
-func (c *ShardedCounter) Save(w io.Writer) error { return c.save(w) }

@@ -1,7 +1,6 @@
 package mining
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"sync"
@@ -251,7 +250,8 @@ func TestShardedConcurrentIngestSnapshotMine(t *testing.T) {
 	}
 }
 
-// TestShardedPersistRoundTrip saves a sharded counter and restores it at
+// TestShardedPersistRoundTrip persists a sharded counter (its full
+// delta, the checkpoint body) and restores it at
 // the same, a smaller, and a larger shard count, plus across the
 // single↔sharded boundary in both directions — supports must be
 // identical every time.
@@ -271,14 +271,17 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+	scheme, err := NewGammaScheme(sc, m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	state, err := orig.DeltaSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, shards := range []int{4, 2, 7} {
-		back, err := LoadShardedGammaCounter(bytes.NewReader(raw), sc, m, shards)
+		back, err := restoreCounter(scheme, shards, state)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,8 +307,11 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 
 	// Sharded state → single counter.
-	merged, err := LoadMaterializedGammaCounter(bytes.NewReader(raw), sc, m)
+	merged, err := NewMaterializedGammaCounter(sc, m)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := merged.ApplyDelta(state); err != nil {
 		t.Fatal(err)
 	}
 	got, err := merged.Supports(cands)
@@ -318,12 +324,8 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Legacy single-counter state → sharded counter.
-	var legacy bytes.Buffer
-	if err := merged.Save(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadShardedGammaCounter(&legacy, sc, m, 3)
+	// Single counter's state → sharded counter.
+	back, err := restoreCounter(scheme, 3, fullDelta(t, merged))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +335,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("legacy-restore candidate %d: %v vs %v", i, want[i], got[i])
+			t.Fatalf("single-counter restore candidate %d: %v vs %v", i, want[i], got[i])
 		}
 	}
 }
@@ -346,29 +348,28 @@ func TestShardedLoadRejectsBadState(t *testing.T) {
 	if err := c.AddDatabase(db); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	state, err := c.DeltaSince(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 
 	other := dataset.CensusSchema()
 	om, _ := core.NewGammaDiagonal(other.DomainSize(), 19)
-	if _, err := LoadShardedGammaCounter(bytes.NewReader(raw), other, om, 2); !errors.Is(err, ErrMining) {
+	otherScheme, _ := NewGammaScheme(other, om)
+	if _, err := restoreCounter(otherScheme, 2, state); !errors.Is(err, ErrMining) {
 		t.Fatal("mismatched schema accepted")
 	}
 	m2, _ := core.NewGammaDiagonal(sc.DomainSize(), 9)
-	if _, err := LoadShardedGammaCounter(bytes.NewReader(raw), sc, m2, 2); !errors.Is(err, ErrMining) {
+	otherMatrix, _ := NewGammaScheme(sc, m2)
+	if _, err := restoreCounter(otherMatrix, 2, state); !errors.Is(err, ErrMining) {
 		t.Fatal("mismatched matrix accepted")
 	}
-	// Tampered per-shard totals must be rejected.
-	c.shards[1].(*MaterializedGammaCounter).hists[1][0] += 5
-	var tampered bytes.Buffer
-	if err := c.Save(&tampered); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadShardedGammaCounter(&tampered, sc, m, 2); !errors.Is(err, ErrMining) {
-		t.Fatal("inconsistent shard totals accepted")
+	// A tampered record count must be rejected.
+	scheme, _ := NewGammaScheme(sc, m)
+	tampered := *state
+	tampered.Records += 5
+	if _, err := restoreCounter(scheme, 2, &tampered); !errors.Is(err, ErrMining) {
+		t.Fatal("inconsistent record total accepted")
 	}
 }
 
@@ -423,11 +424,12 @@ func TestShardedSnapshotVersion(t *testing.T) {
 	}
 	wg.Wait()
 
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	state, err := c.DeltaSince(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadShardedGammaCounter(&buf, sc, m, 2)
+	scheme, _ := NewGammaScheme(sc, m)
+	restored, err := restoreCounter(scheme, 2, state)
 	if err != nil {
 		t.Fatal(err)
 	}

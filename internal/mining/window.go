@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,7 @@ import (
 // WindowView surface that answers reads restricted to the newest K
 // buckets ("last 24h"). Windowed counters are in-memory only: their
 // content is defined by wall-clock expiry, which a WAL replayed at an
-// arbitrary later time cannot reproduce, so Save and DeltaSince refuse
+// arbitrary later time cannot reproduce, so DeltaSince refuses
 // (the service layer gates stores and federation off windowed
 // collections for the same reason).
 
@@ -419,9 +418,6 @@ func (w *WindowedCounter) SnapshotWindowVersioned(window time.Duration) (Support
 // counter cannot support: persisted or replicated state replayed later
 // cannot reproduce "what had expired at the time".
 var errWindowedDurability = fmt.Errorf("%w: windowed counters are in-memory only (bucket expiry is wall-clock-defined and cannot be replayed)", ErrMining)
-
-// Save refuses: windowed counters are in-memory only.
-func (w *WindowedCounter) Save(io.Writer) error { return errWindowedDurability }
 
 // DeltaSince refuses: windowed counters do not serve replication
 // deltas (a delta stream cannot express expiry subtractions).

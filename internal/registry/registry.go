@@ -346,8 +346,8 @@ func New(o Options) (*Registry, error) {
 			return nil, err
 		}
 		// Built before BaseDir is created: the default's store lives at
-		// the BaseDir root, and store.Open migrates a legacy single-file
-		// state only while that path is still a regular file.
+		// the BaseDir root, so store.Open is the first to see a regular
+		// file there and refuses it as removed single-file state.
 		col := &Collection{name: DefaultCollection, spec: spec, ready: make(chan struct{})}
 		r.build(col)
 		if col.err != nil {

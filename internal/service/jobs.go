@@ -493,7 +493,7 @@ func (st *jobStore) pinnedLocked(k mineKey) bool {
 // for the key: when two workers race to compute the same key, the first
 // store wins and the loser adopts it, so every result reported for one
 // (generation, version, params) is identical. A put from a superseded
-// generation (the computation started before a state restore) is
+// generation (the computation started before a counter swap) is
 // dropped without storing — its result is valid for the counter it was
 // computed on, but that counter is gone and the entry could never be
 // served. Every stored entry therefore carries the current generation,
@@ -534,7 +534,7 @@ func (st *jobStore) cachePut(key mineKey, e *cacheEntry) *cacheEntry {
 
 // invalidateCache drops every entry and advances the generation,
 // returning the new one — required when the counter object itself is
-// replaced (state restore), which resets the version line. Callers
+// replaced (ReplaceCounter), which resets the version line. Callers
 // publish the new counter together with the returned generation only
 // AFTER this completes.
 func (st *jobStore) invalidateCache() uint64 {

@@ -345,7 +345,9 @@ func TestStatsReportsJobPool(t *testing.T) {
 	}
 }
 
-func TestLoadStateInvalidatesCache(t *testing.T) {
+// TestReplaceCounterInvalidatesCache: a same-version counter swap must
+// not serve the previous counter's cached mine.
+func TestReplaceCounterInvalidatesCache(t *testing.T) {
 	srv, ts := startServer(t)
 	client := seedSkewed(t, ts.URL, ts.Client(), 600, 28)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -353,21 +355,18 @@ func TestLoadStateInvalidatesCache(t *testing.T) {
 	if _, err := client.MineAsync(ctx, MineParams{MinSupport: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := srv.SaveState(&buf); err != nil {
+	if err := srv.ReplaceCounter(counterCopy(t, srv, srv.Shards()), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.LoadState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Same version number (restored count), but the counter object was
-	// replaced: the cache must have been dropped, so this re-runs.
+	// Same version number (the copy's record count), but the counter
+	// object was replaced: the cache must have been dropped, so this
+	// re-runs.
 	res, err := client.MineAsync(ctx, MineParams{MinSupport: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cached {
-		t.Fatal("cache survived a state restore")
+		t.Fatal("cache survived a counter swap")
 	}
 	if runs := srv.AprioriRuns(); runs != 2 {
 		t.Fatalf("Apriori ran %d times, want 2", runs)

@@ -27,9 +27,9 @@ import (
 // every response reports the (counter generation, snapshot version)
 // pair it is exact for, the version read BEFORE the counter sweep, so a
 // client that still observes the same pair in /v1/stats may keep
-// reusing the response. The generation matters because a state restore
+// reusing the response. The generation matters because a counter swap
 // restarts the version line; the version alone could alias two
-// different collections across a restore. Queries are cheap enough
+// different collections across a swap. Queries are cheap enough
 // (microseconds against the materialized histograms) that no
 // server-side result cache is needed — the stamps exist so CLIENTS can
 // cache.
@@ -80,9 +80,9 @@ type QueryResponse struct {
 	// and the response stays exact as long as /v1/stats still reports
 	// the same (counter_generation, snapshot_version) pair.
 	SnapshotVersion uint64 `json:"snapshot_version"`
-	// CounterGeneration counts state restores. A restore RESTARTS the
-	// version line (at the restored record count), so a version match
-	// alone could pair this response with a different post-restore
+	// CounterGeneration counts counter swaps. A swap RESTARTS the
+	// version line (at the new counter's record count), so a version
+	// match alone could pair this response with a different post-swap
 	// collection; the generation disambiguates, exactly as it does for
 	// the server's internal mining-result cache.
 	CounterGeneration uint64 `json:"counter_generation"`
@@ -181,7 +181,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		filters[i] = f
 	}
 	// One load yields a consistent (counter, generation) pair even if a
-	// state restore lands mid-request.
+	// counter swap lands mid-request.
 	ref := s.counter.Load()
 	if qr.Window != "" {
 		s.handleWindowedQuery(w, ref, filters, qr.Window)

@@ -87,10 +87,10 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueryGenerationAcrossRestore: a state restore restarts the
-// version line, so version-based client caching would alias two
-// different collections; the response's counter generation is what
-// disambiguates, and it must bump on restore in both /v1/query and
+// TestQueryGenerationAcrossRestore: swapping in a restored counter
+// restarts the version line, so version-based client caching would
+// alias two different collections; the response's counter generation is
+// what disambiguates, and it must bump on the swap in both /v1/query and
 // /v1/stats.
 func TestQueryGenerationAcrossRestore(t *testing.T) {
 	srv, ts := startServer(t)
@@ -99,13 +99,10 @@ func TestQueryGenerationAcrossRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var state strings.Builder
-	if err := srv.SaveState(&state); err != nil {
-		t.Fatal(err)
-	}
+	restored := counterCopy(t, srv, srv.Shards())
 	_, before := postQuery(t, ts.URL, ts.Client(), `{"filters": [{"a":"a0"}]}`)
 
-	if err := srv.LoadState(strings.NewReader(state.String())); err != nil {
+	if err := srv.ReplaceCounter(restored, nil); err != nil {
 		t.Fatal(err)
 	}
 	code, after := postQuery(t, ts.URL, ts.Client(), `{"filters": [{"a":"a0"}]}`)

@@ -34,7 +34,7 @@ import (
 // server: ring expiry is wall-clock-defined, so neither a WAL replay
 // nor a delta stream can reproduce the collection's content later or
 // elsewhere (deltas cannot express expiry subtractions at all).
-var errWindowedServer = fmt.Errorf("%w: collection is a sliding window (in-memory ring); replication and state restore are unavailable", ErrService)
+var errWindowedServer = fmt.Errorf("%w: collection is a sliding window (in-memory ring); replication and counter swaps are unavailable", ErrService)
 
 // handleReplicate serves one replication pull.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
@@ -78,10 +78,11 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // ReplaceCounter atomically swaps the counter the query, mining, and
 // stats handlers answer from — the publish hook of a federation
 // coordinator. vector is the per-peer version vector the counter
-// reflects; it is stamped into /v1/query and /v1/mine responses. Like a
-// state restore, the swap invalidates the mining-result cache and bumps
-// the counter generation BEFORE publishing, so no worker can pair the
-// new counter with a stale cache entry (see executeMine). The incoming
+// reflects; it is stamped into /v1/query and /v1/mine responses. The
+// swap invalidates the mining-result cache and bumps the counter
+// generation BEFORE publishing, so no worker can pair the new counter
+// with a stale cache entry (see executeMine) — even one at the same
+// version as the old counter. The incoming
 // counter's fingerprint — which seals its scheme, schema, and
 // parameters — must match this server's contract exactly: a counter
 // collected under a different scheme is rejected, never served.
@@ -103,6 +104,7 @@ func (s *Server) ReplaceCounter(c mining.LiveCounter, vector map[string]uint64) 
 		return fmt.Errorf("%w: counter does not match this server's scheme, schema, and perturbation contract", ErrService)
 	}
 	gen := s.jobs.invalidateCache()
+	s.met.observeCounter(c)
 	s.counter.Store(&counterRef{counter: c, gen: gen, vector: vector})
 	return nil
 }

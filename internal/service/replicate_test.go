@@ -86,6 +86,24 @@ func TestReplicateFullAndIncremental(t *testing.T) {
 	}
 }
 
+// counterCopy rebuilds srv's current counter as a new counter object
+// from its full delta — the same path a checkpoint restore takes.
+func counterCopy(t *testing.T, srv *Server, shards int) *mining.ShardedCounter {
+	t.Helper()
+	d, err := srv.ctr().DeltaSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := mining.NewShardedCounter(srv.CounterScheme(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestReplicateGenerationMismatchForcesFull(t *testing.T) {
 	srv, ts := startServer(t)
 	client, err := NewClient(ts.URL, WithHTTPClient(ts.Client()))
@@ -99,14 +117,11 @@ func TestReplicateGenerationMismatchForcesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Save, add more, restore: the counter object is replaced, its
-	// version line restarts, and its generation bumps.
-	var state bytes.Buffer
-	if err := srv.SaveState(&state); err != nil {
-		t.Fatal(err)
-	}
+	// Copy, add more, swap the copy in: the counter object is replaced,
+	// its version line restarts, and its generation bumps.
+	older := counterCopy(t, srv, srv.Shards())
 	submitN(t, srv, ts.URL, rng, 5)
-	if err := srv.LoadState(&state); err != nil {
+	if err := srv.ReplaceCounter(older, nil); err != nil {
 		t.Fatal(err)
 	}
 

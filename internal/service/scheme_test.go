@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/mining"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // End-to-end scheme negotiation: frapp-server -scheme mask (and
@@ -397,12 +399,13 @@ func TestClientRejectsContractViolations(t *testing.T) {
 }
 
 // TestSchemeStatePersistence: -state round-trips under every scheme,
-// and a state file saved under one scheme can never be restored into a
-// server running another.
+// and a state directory written under one scheme can never be recovered
+// into a server running another.
 func TestSchemeStatePersistence(t *testing.T) {
 	for _, tc := range schemeCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, ts := startServer(t, WithScheme(tc.name), WithShards(2))
+			dir := filepath.Join(t.TempDir(), "state")
+			srv, ts := startStoreServer(t, dir, WithScheme(tc.name))
 			client, err := NewClient(ts.URL, WithHTTPClient(ts.Client()))
 			if err != nil {
 				t.Fatal(err)
@@ -411,34 +414,29 @@ func TestSchemeStatePersistence(t *testing.T) {
 			if err := client.SubmitBatch(db.Records, rand.New(rand.NewSource(17))); err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := srv.SaveState(&buf); err != nil {
-				t.Fatal(err)
-			}
-			raw := buf.Bytes()
+			srv.Close()
+			ts.Close()
 
-			// Restore into a same-scheme server with a different shard
-			// count.
-			srv2, _ := startServer(t, WithScheme(tc.name), WithShards(5))
-			if err := srv2.LoadState(bytes.NewReader(raw)); err != nil {
-				t.Fatal(err)
-			}
-			if srv2.N() != 300 {
-				t.Fatalf("restored %d records, want 300", srv2.N())
-			}
-			if srv2.CounterGeneration() == 0 {
-				t.Fatal("state restore did not bump the counter generation")
-			}
-
-			// Every OTHER scheme must reject this state file.
+			// Every OTHER scheme must refuse this state directory.
 			for _, other := range schemeCases() {
 				if other.name == tc.name {
 					continue
 				}
-				srv3, _ := startServer(t, WithScheme(other.name))
-				if err := srv3.LoadState(bytes.NewReader(raw)); !errors.Is(err, mining.ErrMining) {
-					t.Errorf("state saved under %s restored into %s server: %v", tc.name, other.name, err)
+				st, err := store.Open(dir)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if _, err := NewServer(srv.schema, core.PrivacySpec{Rho1: 0.05, Rho2: 0.50}, WithScheme(other.name), WithStore(st)); !errors.Is(err, mining.ErrMining) {
+					t.Errorf("state written under %s recovered into %s server: %v", tc.name, other.name, err)
+				}
+				st.Close()
+			}
+
+			// Recover into a same-scheme server with a different shard
+			// count.
+			srv2, _ := startStoreServer(t, dir, WithScheme(tc.name), WithShards(5))
+			if srv2.N() != 300 {
+				t.Fatalf("restored %d records, want 300", srv2.N())
 			}
 		})
 	}

@@ -64,7 +64,7 @@ type Server struct {
 	// matrix is the gamma-diagonal matrix; set only when scheme is
 	// gamma (the boolean schemes publish their own parameters).
 	matrix core.UniformMatrix
-	// counter is swapped wholesale on state restore while submit and
+	// counter is swapped wholesale by ReplaceCounter while submit and
 	// mining handlers read it concurrently, hence the atomic pointer.
 	// The counter travels together with its cache generation so a
 	// mining worker always sees a consistent (counter, generation) pair
@@ -159,7 +159,7 @@ func WithShards(n int) Option {
 // /v1/query and mining jobs accept a `window` duration parameter
 // restricting the answer to the newest whole buckets. A windowed
 // collection is in-memory only — it cannot combine with WithStore,
-// LoadState, or federation, because bucket expiry is wall-clock-defined
+// ReplaceCounter, or federation, because bucket expiry is wall-clock-defined
 // and cannot be replayed or replicated.
 func WithWindow(buckets int, bucket time.Duration) Option {
 	return func(c *serverConfig) {
@@ -345,8 +345,8 @@ func (s *Server) Shards() int { return s.ctr().Shards() }
 func (s *Server) SnapshotVersion() uint64 { return s.ctr().Version() }
 
 // CounterGeneration returns the live counter's generation: 0 at start,
-// bumped by every state restore. A restore replaces the counter object
-// and RESTARTS its version line (at the restored record count), so two
+// bumped by every ReplaceCounter swap. A swap replaces the counter
+// object and RESTARTS its version line (at the new counter's count), so two
 // equal snapshot versions only imply equal counter content within one
 // generation — which is why the generation travels in /v1/stats and
 // /v1/query responses alongside the version.
@@ -703,7 +703,7 @@ type StatsResponse struct {
 	// and query results stamped with the same version AND the same
 	// counter generation are exact for this state.
 	SnapshotVersion uint64 `json:"snapshot_version"`
-	// CounterGeneration counts state restores; a restore restarts the
+	// CounterGeneration counts counter swaps; a swap restarts the
 	// version line, so version comparisons are only meaningful within
 	// one generation.
 	CounterGeneration uint64 `json:"counter_generation"`
@@ -745,7 +745,7 @@ func (s *Server) conditionNumber() float64 {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// One load yields a consistent (counter, generation) pair even if a
-	// state restore lands mid-request. The version is read BEFORE the
+	// counter swap lands mid-request. The version is read BEFORE the
 	// record count (Add bumps the count before the version), so the
 	// records >= snapshot_version relation of the query path holds here
 	// too under concurrent ingestion.
@@ -932,12 +932,12 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 // whether it was a cache hit.
 func (s *Server) executeMine(p MineParams) (*mineOutcome, error) {
 	// One atomic load yields a consistent (counter, generation) pair;
-	// LoadState clears the cache and bumps the generation BEFORE
+	// ReplaceCounter clears the cache and bumps the generation BEFORE
 	// publishing the new pair, so a worker still holding the old pair
 	// can only touch old-generation cache keys — its results linearize
-	// before the restore and can never poison the new counter's version
-	// line (which restarts at the restored count and would otherwise
-	// collide with the old counter's cached versions).
+	// before the swap and can never poison the new counter's version
+	// line (which restarts at the new counter's count and would
+	// otherwise collide with the old counter's cached versions).
 	ref := s.counter.Load()
 	counter, gen := ref.counter, ref.gen
 	// A window restriction is only meaningful on a windowed collection.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -289,34 +290,16 @@ func TestServerShardsOption(t *testing.T) {
 }
 
 func TestServerStateAcrossShardCounts(t *testing.T) {
-	srv, ts := startServer(t)
-	client, err := NewClient(ts.URL, WithHTTPClient(ts.Client()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(10))
-	var recs []dataset.Record
-	for i := 0; i < 300; i++ {
-		recs = append(recs, dataset.Record{rng.Intn(3), rng.Intn(2), rng.Intn(4)})
-	}
-	if err := client.SubmitBatch(recs, rng); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := srv.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Restore under a different -shards setting: nothing lost.
-	restored, err := NewServer(serviceSchema(t), core.PrivacySpec{Rho1: 0.05, Rho2: 0.50}, WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if err := restored.LoadState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if restored.N() != srv.N() || restored.Shards() != 2 {
-		t.Fatalf("restored N=%d shards=%d, want N=%d shards=2", restored.N(), restored.Shards(), srv.N())
+	dir := filepath.Join(t.TempDir(), "state")
+	srv, ts := startStoreServer(t, dir, WithShards(4))
+	submitBatch(t, ts, 300, 10)
+	want := srv.N()
+	srv.Close()
+	ts.Close()
+	// Restart under a different -shards setting: nothing lost.
+	restored, _ := startStoreServer(t, dir, WithShards(2))
+	if restored.N() != want || restored.Shards() != 2 {
+		t.Fatalf("restored N=%d shards=%d, want N=%d shards=2", restored.N(), restored.Shards(), want)
 	}
 }
 

@@ -28,8 +28,8 @@ const (
 // counter from the store at construction (checkpoint + WAL-tail replay),
 // then continuously appends counter deltas to the store's WAL and
 // checkpoints on record thresholds. The server owns the store from here:
-// it is closed by Server.Close. Mutually exclusive with LoadState and
-// with the federation-coordinator role, both of which swap the counter
+// it is closed by Server.Close. Mutually exclusive with ReplaceCounter
+// and so with the federation-coordinator role, which swap the counter
 // object out from under the store's log chain.
 func WithStore(st store.StateStore) Option {
 	return func(c *serverConfig) { c.store = st }

@@ -1,13 +1,13 @@
 package service
 
 import (
-	"bytes"
 	"encoding/gob"
 	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -116,6 +116,64 @@ func TestStoreBackedServerRestartRestores(t *testing.T) {
 	}
 }
 
+// TestServerStateRoundTrip: a restarted server mines its recovered state
+// exactly as the original mined it.
+func TestServerStateRoundTrip(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	srv, ts := startStoreServer(t, dir)
+	submitBatch(t, ts, 400, 60)
+	client, err := NewClient(ts.URL, WithHTTPClient(ts.Client()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := client.Mine(0.1, 0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := srv.N()
+	srv.Close()
+	ts.Close()
+
+	restored, rts := startStoreServer(t, dir)
+	if restored.N() != want {
+		t.Fatalf("restored N = %d, want %d", restored.N(), want)
+	}
+	rclient, err := NewClient(rts.URL, WithHTTPClient(rts.Client()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rclient.Mine(0.1, 0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Itemsets, b.Itemsets) {
+		t.Fatalf("mined %v, restored server mined %v", a.Itemsets, b.Itemsets)
+	}
+}
+
+// TestStoreBackedServerRejectsWrongSchema: a state directory written
+// under one schema is refused by a server running another.
+func TestStoreBackedServerRejectsWrongSchema(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	censusSrv, err := NewServer(dataset.CensusSchema(), core.PrivacySpec{Rho1: 0.05, Rho2: 0.50}, WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	censusSrv.Close()
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, err := NewServer(serviceSchema(t), core.PrivacySpec{Rho1: 0.05, Rho2: 0.50}, WithStore(st2)); err == nil {
+		t.Fatal("cross-schema state accepted")
+	}
+}
+
 // TestStoreBackedCheckpointThreshold: crossing -checkpoint-every records
 // makes the background flusher compact without any explicit call.
 func TestStoreBackedCheckpointThreshold(t *testing.T) {
@@ -147,13 +205,6 @@ func TestStoreBackedServerGuards(t *testing.T) {
 	srv, ts := startStoreServer(t, dir)
 	submitBatch(t, ts, 3, 73)
 
-	var buf bytes.Buffer
-	if err := srv.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.LoadState(&buf); !errors.Is(err, ErrService) {
-		t.Fatalf("LoadState on a store-backed server: %v, want ErrService", err)
-	}
 	other, err := mining.NewShardedCounter(srv.CounterScheme(), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -266,7 +266,7 @@ func (m *serverMetrics) wireServer(s *Server) {
 
 // observeCounter installs the ingest observer on any counter exposing
 // the observer hook (sharded and windowed counters alike) — called for
-// the initial counter and again whenever a state restore swaps the
+// the initial counter and again whenever ReplaceCounter swaps the
 // counter object.
 func (m *serverMetrics) observeCounter(c mining.LiveCounter) {
 	if m == nil {
@@ -343,7 +343,7 @@ func (o *ingestObserver) register(reg *telemetry.Registry, base []telemetry.Labe
 // get-or-create, so resizing across a counter swap reuses existing
 // series. Not safe concurrently with ObserveIngest; callers install the
 // observer before traffic (NewServer) or behind the counter swap
-// (LoadState), both of which happen-before subsequent ingests.
+// (ReplaceCounter), both of which happen-before subsequent ingests.
 func (o *ingestObserver) sizeShards(reg *telemetry.Registry, shards int) {
 	if len(o.shardRecords) >= shards {
 		return

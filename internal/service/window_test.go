@@ -325,12 +325,6 @@ func TestWindowedDurabilityGates(t *testing.T) {
 	srv, client, _ := startWindowedServer(t, 2, time.Minute, WithShards(2))
 	submitSeeded(t, client, 40, 3)
 
-	if err := srv.SaveState(&failWriter{}); err == nil {
-		t.Error("SaveState succeeded on a windowed server")
-	}
-	if err := srv.LoadState(strings.NewReader("x")); !errors.Is(err, ErrService) {
-		t.Errorf("LoadState = %v, want windowed refusal", err)
-	}
 	other, err := mining.NewShardedCounter(srv.CounterScheme(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -361,9 +355,3 @@ func TestWindowedDurabilityGates(t *testing.T) {
 		t.Error("windowed config validated with a store attached")
 	}
 }
-
-// failWriter fails every write — SaveState on a windowed server must
-// refuse before writing anything at all, so even this writer works.
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, errors.New("write reached a windowed save") }

@@ -22,13 +22,15 @@ import (
 
 // On-disk layout of a FileStore directory:
 //
-//	checkpoint-<seq>.ckpt  gob checkpointFile: full counter state at one
-//	                       WAL token, plus the replication identity
+//	checkpoint-<seq>.ckpt  gob checkpointFile: the counter's full
+//	                       CounterDelta at one WAL token, plus the
+//	                       replication identity
 //	wal-<seq>.log          framed header + CounterDelta records chained
 //	                       from checkpoint <seq>'s token
-//	legacy-state.gob       a migrated legacy single-file -state payload,
-//	                       removed once the first real checkpoint is
-//	                       durable
+//
+// CounterDelta is the only serialized form of counts: the checkpoint
+// body is a full delta (DeltaSince(0)), each WAL record an incremental
+// one, and /v1/replicate ships the same type.
 //
 // Every record and the segment header are framed as
 // [len uint32][crc32 uint32][gob payload], both big-endian, so a torn
@@ -40,21 +42,24 @@ import (
 const (
 	checkpointMagic = "frapp-checkpoint"
 	walMagic        = "frapp-wal"
-	formatVersion   = 1
+	// formatVersion 2: the checkpoint body is a CounterDelta. Version 1
+	// checkpoints held a gob-encoded counter state and are refused.
+	formatVersion = 2
 
 	checkpointSuffix = ".ckpt"
 	walSuffix        = ".log"
-	legacyStateName  = "legacy-state.gob"
-	migratingSuffix  = ".migrating"
 
 	// tmpPattern prefixes every temp file the store creates; stale ones
-	// (a crash between create and rename) are swept at Open. The legacy
-	// single-file persist path uses .frapp-state-* (swept by
-	// service.NewServerWithState for plain files, and here for migrated
-	// directories).
-	tmpPattern       = ".frapp-ckpt-*"
-	legacyTmpPattern = ".frapp-state-*"
+	// (a crash between create and rename) are swept at Open.
+	tmpPattern = ".frapp-ckpt-*"
 )
+
+// ErrCorruptState marks a checkpoint that could not be decoded at all —
+// truncated, zero-byte, or garbage bytes — as opposed to a valid
+// checkpoint written under an incompatible scheme, schema, or format
+// version. Errors wrapping it name the file and the operator's recovery
+// options instead of surfacing raw gob internals.
+var ErrCorruptState = fmt.Errorf("%w: corrupt checkpoint", ErrStore)
 
 // SyncMode controls WAL append durability. Checkpoints are always
 // written with full fsync discipline regardless of mode.
@@ -94,11 +99,8 @@ type FileStore struct {
 	// next Append chains from it.
 	lastToken uint64
 	sinceCkpt int
-	// legacyPath is a migrated legacy state file pending removal after
-	// the first durable checkpoint.
-	legacyPath string
-	recovered  bool
-	closed     bool
+	recovered bool
+	closed    bool
 
 	// walWrite, when set (tests), intercepts WAL frame writes to inject
 	// partial or failing writers.
@@ -110,91 +112,56 @@ type FileStore struct {
 	obs      Observer
 }
 
-// Open opens (or creates) a store directory. A legacy single-file
-// -state payload at the same path is migrated into the directory: the
-// file becomes dir/legacy-state.gob, is recovered like a checkpoint,
-// and is removed once the first real checkpoint is durable. Stale temp
-// files from crashed atomic writes are swept.
+// Open opens (or creates) a store directory and sweeps stale temp files
+// from crashed atomic writes. A regular file at dir is refused: it is
+// state in the removed single-file format, which this build cannot read.
 func Open(dir string, opts ...Option) (*FileStore, error) {
 	s := &FileStore{dir: dir, sync: SyncAlways}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if err := s.openDir(); err != nil {
+	info, err := os.Stat(dir)
+	switch {
+	case err == nil && !info.IsDir():
+		return nil, fmt.Errorf("%w: %s is a file, not a state directory: the single-file state format was removed (move the file aside and start with an empty directory)", ErrStore, dir)
+	case err != nil && !errors.Is(err, fs.ErrNotExist):
+		return nil, err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	if err := s.sweepTemps(); err != nil {
 		return nil, err
 	}
-	if _, err := os.Stat(filepath.Join(dir, legacyStateName)); err == nil {
-		s.legacyPath = filepath.Join(dir, legacyStateName)
-	}
 	return s, nil
-}
-
-// openDir creates the directory, migrating a legacy regular file at the
-// same path when present. A crash mid-migration leaves path.migrating,
-// which the next Open finishes moving in.
-func (s *FileStore) openDir() error {
-	migrating := s.dir + migratingSuffix
-	info, err := os.Stat(s.dir)
-	switch {
-	case err == nil && info.Mode().IsRegular():
-		// Legacy single-file state: move it aside, build the directory,
-		// move it in. Both renames stay within the parent directory, so
-		// each is atomic and the state file exists at every instant.
-		if err := os.Rename(s.dir, migrating); err != nil {
-			return fmt.Errorf("%w: migrating legacy state file %s: %v", ErrStore, s.dir, err)
-		}
-	case err == nil && !info.IsDir():
-		return fmt.Errorf("%w: %s is neither a directory nor a regular state file", ErrStore, s.dir)
-	case err != nil && !errors.Is(err, fs.ErrNotExist):
-		return err
-	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return err
-	}
-	if _, err := os.Stat(migrating); err == nil {
-		if err := os.Rename(migrating, filepath.Join(s.dir, legacyStateName)); err != nil {
-			return fmt.Errorf("%w: migrating legacy state file into %s: %v", ErrStore, s.dir, err)
-		}
-		if err := SyncDir(s.dir); err != nil {
-			return err
-		}
-		if err := SyncDir(filepath.Dir(s.dir)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // sweepTemps removes orphaned temp files left by writes that crashed
 // between create and rename.
 func (s *FileStore) sweepTemps() error {
-	for _, pattern := range []string{tmpPattern, legacyTmpPattern} {
-		matches, err := filepath.Glob(filepath.Join(s.dir, pattern))
-		if err != nil {
+	matches, err := filepath.Glob(filepath.Join(s.dir, tmpPattern))
+	if err != nil {
+		return err
+	}
+	for _, m := range matches {
+		if err := os.Remove(m); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
-		}
-		for _, m := range matches {
-			if err := os.Remove(m); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// checkpointFile is the serialized checkpoint: the counter state (the
-// v3 scheme-tagged gob payload of LiveCounter.Save) frozen at WALToken,
-// plus the replication identity to restore into the recovered counter.
+// checkpointFile is the serialized checkpoint: the counter's full
+// CounterDelta (whose ToVersion is the WAL token the next segment
+// chains from) plus the replication identity to restore into the
+// recovered counter. The body is named Delta, not version 1's State, so
+// a version-1 file still decodes far enough to report its version.
 type checkpointFile struct {
 	Magic       string
 	Version     int
 	Seq         uint64
-	WALToken    uint64
 	Replication mining.ReplicationState
-	State       []byte
+	Delta       mining.CounterDelta
 }
 
 // walHeader opens every WAL segment: records in segment Seq chain from
@@ -229,7 +196,7 @@ func (s *FileStore) recover(scheme mining.CounterScheme, shards int) (*mining.Sh
 		return nil, err
 	}
 	if len(seqs) == 0 {
-		return s.recoverLegacy(scheme, shards)
+		return nil, nil
 	}
 	// Newest valid checkpoint wins; a corrupt newest checkpoint falls
 	// back to its predecessor (whose WAL segment still carries the
@@ -237,13 +204,16 @@ func (s *FileStore) recover(scheme mining.CounterScheme, shards int) (*mining.Sh
 	var firstErr error
 	for i := len(seqs) - 1; i >= 0; i-- {
 		counter, ck, err := s.loadCheckpoint(seqs[i], scheme, shards)
+		if errors.Is(err, errFormatVersion) {
+			return nil, err // every checkpoint in the directory shares it
+		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		token, err := s.replayWAL(counter, ck.Seq, ck.WALToken)
+		token, err := s.replayWAL(counter, ck.Seq, ck.Delta.ToVersion)
 		if err != nil {
 			return nil, err
 		}
@@ -262,25 +232,11 @@ func (s *FileStore) recover(scheme mining.CounterScheme, shards int) (*mining.Sh
 	return nil, fmt.Errorf("no valid checkpoint in %s (restore a backup, or remove the directory to start empty): %w", s.dir, firstErr)
 }
 
-// recoverLegacy restores a migrated legacy single-file state when the
-// directory holds no checkpoints yet.
-func (s *FileStore) recoverLegacy(scheme mining.CounterScheme, shards int) (*mining.ShardedCounter, error) {
-	if s.legacyPath == "" {
-		return nil, nil
-	}
-	f, err := os.Open(s.legacyPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	counter, err := mining.LoadLiveCounter(f, scheme, shards)
-	if err != nil {
-		return nil, fmt.Errorf("state file %s is unreadable (restore it from a backup, or delete it to start empty): %w", s.legacyPath, err)
-	}
-	return counter, nil
-}
+// errFormatVersion marks a checkpoint written in a store format this
+// build does not read.
+var errFormatVersion = fmt.Errorf("%w: unsupported store format", ErrStore)
 
-// loadCheckpoint decodes and validates one checkpoint file.
+// loadCheckpoint decodes one checkpoint file and rebuilds its counter.
 func (s *FileStore) loadCheckpoint(seq uint64, scheme mining.CounterScheme, shards int) (*mining.ShardedCounter, *checkpointFile, error) {
 	path := s.checkpointPath(seq)
 	f, err := os.Open(path)
@@ -290,13 +246,16 @@ func (s *FileStore) loadCheckpoint(seq uint64, scheme mining.CounterScheme, shar
 	defer f.Close()
 	var ck checkpointFile
 	if err := gob.NewDecoder(bufio.NewReader(f)).Decode(&ck); err != nil {
-		return nil, nil, fmt.Errorf("checkpoint %s: %w: %v", path, mining.ErrCorruptState, err)
+		return nil, nil, fmt.Errorf("checkpoint %s: %w: %v", path, ErrCorruptState, err)
 	}
-	if ck.Magic != checkpointMagic || ck.Version != formatVersion || ck.Seq != seq {
-		return nil, nil, fmt.Errorf("checkpoint %s: %w: bad header (magic %q, version %d, seq %d)",
-			path, mining.ErrCorruptState, ck.Magic, ck.Version, ck.Seq)
+	if ck.Magic != checkpointMagic || ck.Seq != seq {
+		return nil, nil, fmt.Errorf("checkpoint %s: %w: bad header (magic %q, seq %d)", path, ErrCorruptState, ck.Magic, ck.Seq)
 	}
-	counter, err := mining.LoadLiveCounter(bytes.NewReader(ck.State), scheme, shards)
+	if ck.Version != formatVersion {
+		return nil, nil, fmt.Errorf("%w: checkpoint %s is store format version %d, this build reads only version %d (restore a backup of %s written by this build, or remove the directory to start empty)",
+			errFormatVersion, path, ck.Version, formatVersion, s.dir)
+	}
+	counter, err := restoreCheckpoint(&ck.Delta, scheme, shards)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
@@ -338,8 +297,12 @@ func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, to
 		return false, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-	payload, err := readFrame(r)
+	info, err := f.Stat()
+	if err != nil {
+		return false, err
+	}
+	r, left := bufio.NewReader(f), info.Size()
+	payload, err := readFrame(r, &left)
 	if err != nil {
 		return false, nil // torn or empty header: segment carries nothing
 	}
@@ -351,7 +314,7 @@ func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, to
 		return false, nil // not the segment this chain expects
 	}
 	for {
-		payload, err := readFrame(r)
+		payload, err := readFrame(r, &left)
 		if err != nil {
 			// io.EOF is the clean end of a fully replayed segment; any
 			// other error is a torn/corrupt tail — stop at the last good
@@ -373,9 +336,8 @@ func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, to
 }
 
 // Attach implements StateStore: it writes a boot checkpoint of the
-// counter's current state (recovered or empty), rotates onto a fresh
-// WAL segment, and — once that checkpoint is durable — removes a
-// migrated legacy state file.
+// counter's current state (recovered or empty) and rotates onto a fresh
+// WAL segment.
 func (s *FileStore) Attach(counter *mining.ShardedCounter) error {
 	if counter == nil {
 		return fmt.Errorf("%w: nil counter", ErrStore)
@@ -387,15 +349,6 @@ func (s *FileStore) Attach(counter *mining.ShardedCounter) error {
 	if err := s.checkpoint(); err != nil {
 		s.counter = nil
 		return err
-	}
-	if s.legacyPath != "" {
-		if err := os.Remove(s.legacyPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
-		}
-		if err := SyncDir(s.dir); err != nil {
-			return err
-		}
-		s.legacyPath = ""
 	}
 	return nil
 }
@@ -471,12 +424,14 @@ func (s *FileStore) checkpoint() error {
 	return err
 }
 
-// compact is the checkpoint body, returning the serialized state size
-// for telemetry.
+// compact is the checkpoint body, returning the serialized size of the
+// counter state (the full delta) for telemetry.
 func (s *FileStore) compact() (int, error) {
-	// One full pull both captures the state and retains its baseline in
-	// the counter's ring, so the checkpoint token is a real stream
-	// position the WAL chain and replication pullers can chain onto.
+	// One full pull both captures the state at exactly d.ToVersion,
+	// unaffected by records still arriving on the live counter, and
+	// retains its baseline in the counter's ring, so the checkpoint token
+	// is a real stream position the WAL chain and replication pullers can
+	// chain onto.
 	d, err := s.counter.DeltaSince(0)
 	if err != nil {
 		return 0, err
@@ -495,18 +450,8 @@ func (s *FileStore) compact() (int, error) {
 			}
 		}
 	}
-	// Rebuild a frozen counter from the delta: its serialized form is
-	// the state at exactly d.ToVersion, unaffected by records still
-	// arriving on the live counter.
-	frozen, err := mining.NewShardedCounter(s.counter.CounterScheme(), 1)
-	if err != nil {
-		return 0, err
-	}
-	if err := frozen.ApplyDelta(d); err != nil {
-		return 0, err
-	}
-	var state bytes.Buffer
-	if err := frozen.Save(&state); err != nil {
+	var stateBytes byteCounter
+	if err := gob.NewEncoder(&stateBytes).Encode(d); err != nil {
 		return 0, err
 	}
 	newSeq := s.seq + 1
@@ -514,21 +459,28 @@ func (s *FileStore) compact() (int, error) {
 		Magic:       checkpointMagic,
 		Version:     formatVersion,
 		Seq:         newSeq,
-		WALToken:    d.ToVersion,
 		Replication: s.counter.ReplicationState(),
-		State:       state.Bytes(),
+		Delta:       *d,
 	}
 	if err := s.writeCheckpointFile(&ck); err != nil {
-		return state.Len(), err
+		return int(stateBytes), err
 	}
 	if err := s.rotateWAL(newSeq, d.ToVersion); err != nil {
-		return state.Len(), err
+		return int(stateBytes), err
 	}
 	s.seq = newSeq
 	s.lastToken = d.ToVersion
 	s.sinceCkpt = 0
 	s.prune(newSeq - 1)
-	return state.Len(), nil
+	return int(stateBytes), nil
+}
+
+// byteCounter is a writer that only counts what is written to it.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }
 
 // writeCheckpointFile writes one checkpoint atomically and durably:
@@ -664,10 +616,13 @@ func (s *FileStore) writeFrame(payload []byte) error {
 // errTornFrame marks an incomplete or corrupt trailing frame.
 var errTornFrame = errors.New("store: torn WAL frame")
 
-// readFrame reads one frame; io.EOF means a clean end exactly at a
-// frame boundary, errTornFrame anything short or corrupt — a partial
-// header, a short payload, an oversized length, or a CRC mismatch.
-func readFrame(r *bufio.Reader) ([]byte, error) {
+// readFrame reads one frame from a segment with *left bytes not yet
+// consumed; io.EOF means a clean end exactly at a frame boundary,
+// errTornFrame anything short or corrupt — a partial header, a length
+// past the end of the segment or over the cap, a short payload, or a CRC
+// mismatch. The length is checked against *left before the payload is
+// allocated, so a corrupt length costs nothing.
+func readFrame(r *bufio.Reader, left *int64) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) && err != io.ErrUnexpectedEOF {
@@ -675,10 +630,12 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 		}
 		return nil, errTornFrame
 	}
+	*left -= int64(len(hdr))
 	length := binary.BigEndian.Uint32(hdr[0:4])
-	if length > mining.MaxDeltaWireBytes {
+	if int64(length) > *left || length > mining.MaxDeltaWireBytes {
 		return nil, errTornFrame
 	}
+	*left -= int64(length)
 	payload := make([]byte, length)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, errTornFrame

@@ -1,21 +1,20 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/mining"
 )
 
 // MemStore is an in-memory StateStore with FileStore's semantics but no
-// disk: the WAL is a delta slice, the checkpoint a byte buffer. It backs
-// tests that need store-driven behavior (checkpoint triggers, recovery
-// after an abandoned counter) without filesystem coupling, and it is the
-// proof that the service programs against the StateStore contract rather
-// than against files.
+// disk: the WAL is a delta slice, the checkpoint the full delta itself.
+// It backs tests that need store-driven behavior (checkpoint triggers,
+// recovery after an abandoned counter) without filesystem coupling, and
+// it is the proof that the service programs against the StateStore
+// contract rather than against files.
 type MemStore struct {
 	counter   *mining.ShardedCounter
-	ckptState []byte
+	ckpt      *mining.CounterDelta
 	ckptRepl  mining.ReplicationState
 	wal       []*mining.CounterDelta
 	lastToken uint64
@@ -32,10 +31,10 @@ func NewMemStore() *MemStore { return &MemStore{} }
 // tests simulate a crash without a filesystem.
 func (s *MemStore) Recover(scheme mining.CounterScheme, shards int) (*mining.ShardedCounter, error) {
 	s.recovered = true
-	if s.ckptState == nil {
+	if s.ckpt == nil {
 		return nil, nil
 	}
-	counter, err := mining.LoadLiveCounter(bytes.NewReader(s.ckptState), scheme, shards)
+	counter, err := restoreCheckpoint(s.ckpt, scheme, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -101,18 +100,7 @@ func (s *MemStore) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	frozen, err := mining.NewShardedCounter(s.counter.CounterScheme(), 1)
-	if err != nil {
-		return err
-	}
-	if err := frozen.ApplyDelta(d); err != nil {
-		return err
-	}
-	var state bytes.Buffer
-	if err := frozen.Save(&state); err != nil {
-		return err
-	}
-	s.ckptState = state.Bytes()
+	s.ckpt = d
 	s.ckptRepl = s.counter.ReplicationState()
 	s.ckptRepl.LastToken = d.ToVersion
 	s.wal = nil

@@ -19,8 +19,8 @@ type Observer interface {
 	// reports zero bytes and records.
 	ObserveAppend(bytes, records int, fsync, total time.Duration, err error)
 	// ObserveCheckpoint reports one checkpoint compaction: serialized
-	// counter-state bytes, total duration (delta pull, freeze, atomic
-	// write, WAL rotation, prune), and the outcome.
+	// counter-state bytes (the full delta), total duration (delta pull,
+	// atomic write, WAL rotation, prune), and the outcome.
 	ObserveCheckpoint(stateBytes int, total time.Duration, err error)
 	// ObserveWALSize reports the current WAL segment's size in bytes
 	// after every append and rotation.

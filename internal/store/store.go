@@ -8,24 +8,45 @@
 // submissions — no raw record ever reaches the server), so the existing
 // replication delta layer (mining.CounterDelta / DeltaSince) is already
 // an exact, compact change log. The store chains those deltas into an
-// append-only WAL off the ingest hot path, compacts them into full
-// counter checkpoints (the v3 scheme-tagged state format), and after a
-// crash recovers by loading the newest valid checkpoint and replaying
-// the WAL tail; a torn trailing record ends the replay, it is never
-// fatal. Checkpoints also carry the counter's replication identity
-// (delta epoch + retained baselines), so federation pullers resume
-// incremental replication against the recovered counter instead of
-// being forced into a full re-pull.
+// append-only WAL off the ingest hot path, compacts them into
+// checkpoints whose body is the counter's full delta (DeltaSince(0)),
+// and after a crash recovers by applying the newest valid checkpoint to
+// a fresh counter and replaying the WAL tail; a torn trailing record
+// ends the replay, it is never fatal. CounterDelta is thus the only
+// serialized form of counts, for durability and replication alike.
+// Checkpoints also carry the counter's replication identity (delta
+// epoch + retained baselines), so federation pullers resume incremental
+// replication against the recovered counter instead of being forced
+// into a full re-pull.
 package store
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/mining"
 )
 
 // ErrStore is returned for invalid store state or configuration.
 var ErrStore = errors.New("store: invalid state")
+
+// restoreCheckpoint rebuilds a live counter from a checkpoint body: a
+// fresh counter plus one ApplyDelta of the full delta, which validates
+// the fingerprint (scheme, schema, and parameters), cell ranges and
+// counts, and the record total.
+func restoreCheckpoint(d *mining.CounterDelta, scheme mining.CounterScheme, shards int) (*mining.ShardedCounter, error) {
+	if !d.Full() {
+		return nil, fmt.Errorf("%w: checkpoint body is an incremental delta", ErrStore)
+	}
+	counter, err := mining.NewShardedCounter(scheme, shards)
+	if err != nil {
+		return nil, err
+	}
+	if err := counter.ApplyDelta(d); err != nil {
+		return nil, err
+	}
+	return counter, nil
+}
 
 // StateStore is the pluggable durable-persistence contract the
 // collection service programs against. The lifecycle is: Recover once

@@ -18,7 +18,7 @@ import (
 // checked under.
 var testSchemes = []string{mining.SchemeGamma, mining.SchemeMask, mining.SchemeCutPaste}
 
-func testSchema(t *testing.T) *dataset.Schema {
+func testSchema(t testing.TB) *dataset.Schema {
 	t.Helper()
 	s, err := dataset.NewSchema("store-test", []dataset.Attribute{
 		{Name: "a", Categories: []string{"a0", "a1", "a2"}},
@@ -31,7 +31,7 @@ func testSchema(t *testing.T) *dataset.Schema {
 	return s
 }
 
-func testScheme(t *testing.T, name string) mining.CounterScheme {
+func testScheme(t testing.TB, name string) mining.CounterScheme {
 	t.Helper()
 	scheme, err := mining.SchemeForContract(name, testSchema(t), 19)
 	if err != nil {
@@ -44,7 +44,7 @@ func testScheme(t *testing.T, name string) mining.CounterScheme {
 // deterministic given the records (the server counts already-perturbed
 // submissions; nothing random happens inside Add), so any prefix of
 // this stream can be re-counted into an exact reference counter.
-func testRecords(t *testing.T, n int, seed int64) []dataset.Record {
+func testRecords(t testing.TB, n int, seed int64) []dataset.Record {
 	t.Helper()
 	s := testSchema(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -59,7 +59,7 @@ func testRecords(t *testing.T, n int, seed int64) []dataset.Record {
 	return recs
 }
 
-func addAll(t *testing.T, c *mining.ShardedCounter, recs []dataset.Record) {
+func addAll(t testing.TB, c *mining.ShardedCounter, recs []dataset.Record) {
 	t.Helper()
 	for _, rec := range recs {
 		if err := c.Add(rec); err != nil {
@@ -304,7 +304,7 @@ func TestFileStoreAllCheckpointsCorruptIsActionableError(t *testing.T) {
 	if err == nil {
 		t.Fatal("all-corrupt store recovered")
 	}
-	if !errors.Is(err, mining.ErrCorruptState) {
+	if !errors.Is(err, ErrCorruptState) {
 		t.Fatalf("error %v does not wrap ErrCorruptState", err)
 	}
 	for _, want := range []string{dir, "restore", "remove"} {
@@ -319,7 +319,7 @@ func TestFileStoreSweepsTempOrphans(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	orphans := []string{".frapp-ckpt-123", ".frapp-state-456"}
+	orphans := []string{".frapp-ckpt-123", ".frapp-ckpt-456"}
 	for _, name := range orphans {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
 			t.Fatal(err)
@@ -332,83 +332,6 @@ func TestFileStoreSweepsTempOrphans(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("orphan %s survived Open", name)
 		}
-	}
-}
-
-func TestFileStoreMigratesLegacySingleFileState(t *testing.T) {
-	for _, name := range testSchemes {
-		t.Run(name, func(t *testing.T) {
-			scheme := testScheme(t, name)
-			recs := testRecords(t, 50, 17)
-			path := filepath.Join(t.TempDir(), "state.gob")
-
-			// A legacy deployment's single-file state at the -state path.
-			legacy := referenceCounter(t, scheme, recs)
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := legacy.Save(f); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-
-			st, err := Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recovered, err := st.Recover(scheme, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if recovered == nil {
-				t.Fatal("migrated store recovered nothing")
-			}
-			countersMatch(t, legacy, recovered)
-			if err := st.Attach(recovered); err != nil {
-				t.Fatal(err)
-			}
-			// The migrated payload is deleted only after its content is
-			// durable in the first real checkpoint.
-			if _, err := os.Stat(filepath.Join(path, "legacy-state.gob")); !errors.Is(err, os.ErrNotExist) {
-				t.Fatal("legacy state file survived the boot checkpoint")
-			}
-			st.Close()
-
-			st2, err := Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := st2.Recover(scheme, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			countersMatch(t, legacy, again)
-		})
-	}
-}
-
-func TestFileStoreZeroByteLegacyStateIsActionableError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.gob")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = st.Recover(testScheme(t, mining.SchemeGamma), 1)
-	if err == nil {
-		t.Fatal("zero-byte state accepted")
-	}
-	if !errors.Is(err, mining.ErrCorruptState) {
-		t.Fatalf("error %v does not wrap ErrCorruptState", err)
-	}
-	if !strings.Contains(err.Error(), "legacy-state.gob") || !strings.Contains(err.Error(), "backup") {
-		t.Fatalf("error %q names neither the file nor a recovery option", err)
-	}
-	if strings.Contains(strings.ToLower(err.Error()), "gob: ") {
-		t.Fatalf("error %q leaks raw decoder internals as its headline", err)
 	}
 }
 
