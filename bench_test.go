@@ -800,9 +800,9 @@ func benchWideBinarySchema(b *testing.B) *dataset.Schema {
 	return s
 }
 
-// benchMaskCounter MASK-perturbs db and ingests it into a one-shard
-// live counter, so a read gathers exactly one core.
-func benchMaskCounter(b *testing.B, db *dataset.Database) *mining.ShardedCounter {
+// benchMaskCounter MASK-perturbs db and ingests it into a live counter
+// of the given shard count.
+func benchMaskCounter(b *testing.B, db *dataset.Database, shards int) *mining.ShardedCounter {
 	scheme, err := mining.SchemeForContract(mining.SchemeMask, db.Schema, 19)
 	if err != nil {
 		b.Fatal(err)
@@ -812,7 +812,7 @@ func benchMaskCounter(b *testing.B, db *dataset.Database) *mining.ShardedCounter
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctr, err := mining.NewShardedCounter(scheme, 1)
+	ctr, err := mining.NewShardedCounter(scheme, shards)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -874,7 +874,8 @@ func BenchmarkBoolGather(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		censusCtr, wideCtr := benchMaskCounter(b, census), benchMaskCounter(b, wideDB)
+		// One shard, so a read gathers exactly one core.
+		censusCtr, wideCtr := benchMaskCounter(b, census, 1), benchMaskCounter(b, wideDB, 1)
 		cases := []struct {
 			name    string
 			ctr     *mining.ShardedCounter
@@ -893,5 +894,77 @@ func BenchmarkBoolGather(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// --- Mining path: snapshot fold + Apriori, per layer ---
+
+// BenchmarkMinePath measures one uncached /v1/mine below the HTTP
+// layer, split into its two layers: the snapshot fold of the shards
+// (snapshot-ms/op) and the Apriori run over it (apriori-ms/op), with
+// minsup cycling over 0.02–0.10 as the perfbench analysts do.
+// gamma-health is 100k DET-GD-perturbed HEALTH records on 2 shards,
+// mined to full depth; mask-census is 8.75k MASK-perturbed CENSUS
+// records on 2 shards, mined to maxlen 2.
+func BenchmarkMinePath(b *testing.B) {
+	health, err := dataset.GenerateHealth(100_000, 21)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gammaScheme, err := mining.SchemeForContract(mining.SchemeGamma, health.Schema, 19)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := core.NewGammaDiagonal(health.Schema.DomainSize(), 19)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := core.NewGammaPerturber(health.Schema, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perturbed, err := core.PerturbDatabase(health, p, rand.New(rand.NewSource(22)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	gammaCtr, err := mining.NewShardedCounter(gammaScheme, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := gammaCtr.AddDatabase(perturbed); err != nil {
+		b.Fatal(err)
+	}
+	census, err := dataset.GenerateCensus(8750, 23)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		ctr    *mining.ShardedCounter
+		maxLen int
+	}{
+		{"gamma-health", gammaCtr, 0},
+		{"mask-census", benchMaskCounter(b, census, 2), 2},
+	}
+	minsups := []float64{0.02, 0.04, 0.06, 0.08, 0.10}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var snapshot, apriori time.Duration
+			i := 0
+			for b.Loop() {
+				t0 := time.Now()
+				snap, _ := c.ctr.SnapshotVersioned()
+				t1 := time.Now()
+				if _, err := mining.AprioriWithOptions(snap, minsups[i%len(minsups)], mining.Options{CandidateRelaxation: 1, MaxLen: c.maxLen}); err != nil {
+					b.Fatal(err)
+				}
+				snapshot += t1.Sub(t0)
+				apriori += time.Since(t1)
+				i++
+			}
+			b.ReportMetric(float64(snapshot.Nanoseconds())/1e6/float64(i), "snapshot-ms/op")
+			b.ReportMetric(float64(apriori.Nanoseconds())/1e6/float64(i), "apriori-ms/op")
+		})
 	}
 }

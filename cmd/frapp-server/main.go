@@ -105,6 +105,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -291,6 +292,12 @@ func run(ctx context.Context, cfg serverConfig) error {
 	if err != nil {
 		return err
 	}
+	// Bind the API port before publishing the registry: /readyz must not
+	// answer 200 for a server that is about to die on a taken port.
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return errors.Join(err, r.Close())
+	}
 	tenants.Store(r)
 	// New built the default before returning, so both lookups succeed.
 	col, _ := r.Get(registry.DefaultCollection)
@@ -303,10 +310,10 @@ func run(ctx context.Context, cfg serverConfig) error {
 
 	httpSrv := &http.Server{Addr: cfg.addr, Handler: r.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	go func() { errc <- httpSrv.Serve(ln) }()
 	var serveErr error
 	select {
-	case serveErr = <-errc: // the listen failed
+	case serveErr = <-errc: // the listener failed
 	case <-ctx.Done():
 		log.Printf("frapp-server: shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -227,18 +227,57 @@ func TestRunListenFailureKeepsStoredState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A boot that fails to listen must leave the store intact.
+	// A boot that fails to listen must leave the store intact, and must
+	// fail before it publishes the registry: its /readyz, polled for the
+	// whole boot, never answers 200. A boot can end before the first poll
+	// lands, so it is retried until the poller has seen the ops listener.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close() // occupy the port so run's listen fails
-	cfg := serverConfig{
-		addr: l.Addr().String(), schema: "census", rho1: 0.05, rho2: 0.5,
-		state: stateDir, mineWorkers: 1, jobTTL: time.Minute,
+	type probes struct{ answered, ready int }
+	var seen probes
+	for attempt := 0; attempt < 5 && seen.answered == 0; attempt++ {
+		cfg := serverConfig{
+			addr: l.Addr().String(), schema: "census", rho1: 0.05, rho2: 0.5,
+			state: stateDir, mineWorkers: 1, jobTTL: time.Minute,
+			opsAddr: freePort(t),
+		}
+		stop, done := make(chan struct{}), make(chan probes)
+		go func() {
+			var p probes
+			defer func() { done <- p }()
+			client := &http.Client{Timeout: time.Second}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := client.Get("http://" + cfg.opsAddr + "/readyz")
+				if err != nil {
+					continue // not bound yet, or already closed
+				}
+				resp.Body.Close()
+				p.answered++
+				if resp.StatusCode == http.StatusOK {
+					p.ready++
+				}
+			}
+		}()
+		err := run(context.Background(), cfg)
+		close(stop)
+		seen = <-done
+		if err == nil {
+			t.Fatal("run succeeded on an occupied port")
+		}
+		if seen.ready > 0 {
+			t.Fatalf("/readyz answered 200 %d times for a boot that failed to bind its API port", seen.ready)
+		}
 	}
-	if err := run(context.Background(), cfg); err == nil {
-		t.Fatal("run succeeded on an occupied port")
+	if seen.answered == 0 {
+		t.Fatal("the /readyz poller never reached the ops listener")
 	}
 
 	// The stored record is still there.

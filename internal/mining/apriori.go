@@ -2,7 +2,8 @@ package mining
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/dataset"
 )
@@ -56,14 +57,34 @@ func (r *Result) All() map[string]FrequentItemset {
 
 // Lookup returns the frequent itemset with the given key, if present.
 func (r *Result) Lookup(key string) (FrequentItemset, bool) {
+	var buf []byte
 	for _, level := range r.ByLength {
 		for _, f := range level {
-			if f.Items.Key() == key {
+			buf = f.Items.appendKey(buf[:0])
+			if string(buf) == key {
 				return f, true
 			}
 		}
 	}
 	return FrequentItemset{}, false
+}
+
+// sortByKey sorts itemsets into canonical key order, building each key
+// once rather than twice per comparison. Keys within one sort are
+// distinct, so the order is fully determined.
+func sortByKey(fs []FrequentItemset) {
+	type keyed struct {
+		key string
+		fi  FrequentItemset
+	}
+	ks := make([]keyed, len(fs))
+	for i, f := range fs {
+		ks[i] = keyed{f.Items.Key(), f}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range ks {
+		fs[i] = k.fi
+	}
 }
 
 // Options tunes the Apriori run.
@@ -129,18 +150,24 @@ func AprioriWithOptions(c SupportCounter, minSupport float64, opts Options) (*Re
 		if len(counts) != len(candidates) {
 			return nil, fmt.Errorf("%w: counter returned %d counts for %d candidates", ErrMining, len(counts), len(candidates))
 		}
-		var level, alive []FrequentItemset
+		// The surviving candidates are keyed once and put in key order;
+		// the reported level (cnt ≥ threshold ≥ aliveThreshold) is a
+		// subsequence of them, so it comes out sorted too.
+		keys := make([]string, len(candidates))
+		var alive []int
 		for i, cnt := range counts {
-			fi := FrequentItemset{Items: candidates[i], Support: cnt / float64(n)}
-			if cnt >= threshold {
-				level = append(level, fi)
-			}
 			if cnt >= aliveThreshold {
-				alive = append(alive, fi)
+				keys[i] = candidates[i].Key()
+				alive = append(alive, i)
 			}
 		}
-		sort.Slice(level, func(i, j int) bool { return level[i].Items.Key() < level[j].Items.Key() })
-		sort.Slice(alive, func(i, j int) bool { return alive[i].Items.Key() < alive[j].Items.Key() })
+		slices.SortFunc(alive, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
+		var level []FrequentItemset
+		for _, i := range alive {
+			if counts[i] >= threshold {
+				level = append(level, FrequentItemset{Items: candidates[i], Support: counts[i] / float64(n)})
+			}
+		}
 		if len(level) > 0 {
 			res.ByLength = append(res.ByLength, level)
 		} else if opts.CandidateRelaxation == 1 {
@@ -152,108 +179,91 @@ func AprioriWithOptions(c SupportCounter, minSupport float64, opts Options) (*Re
 		if opts.MaxLen > 0 && length >= opts.MaxLen {
 			break
 		}
-		candidates = generateCandidates(alive)
+		survivors, survivorKeys := make([]Itemset, len(alive)), make([]string, len(alive))
+		for j, i := range alive {
+			survivors[j], survivorKeys[j] = candidates[i], keys[i]
+		}
+		candidates = generateCandidates(survivors, survivorKeys)
 		length++
 	}
-	// Trim trailing empty levels cannot occur (levels are only appended
-	// when non-empty), but with relaxation the result can have gaps in
-	// length; ByLength indexes by appearance order, so re-bucket by
-	// actual length for stable semantics.
+	// With relaxation a pass can keep candidates alive while reporting
+	// no itemset of its length, so ByLength (appended in pass order) can
+	// skip lengths; re-bucket by actual length for stable semantics.
 	res.normalize()
 	return res, nil
 }
 
 // normalize re-buckets ByLength so index k holds exactly the itemsets of
-// length k+1, dropping trailing empty levels.
+// length k+1. Every level it receives is non-empty, of one length, and
+// already sorted by key, so this only inserts the skipped lengths.
 func (r *Result) normalize() {
-	maxLen := 0
+	buckets := make([][]FrequentItemset, 0, len(r.ByLength))
 	for _, level := range r.ByLength {
-		for _, f := range level {
-			if f.Items.Len() > maxLen {
-				maxLen = f.Items.Len()
-			}
+		l := level[0].Items.Len()
+		for len(buckets) < l {
+			buckets = append(buckets, nil)
 		}
-	}
-	buckets := make([][]FrequentItemset, maxLen)
-	for _, level := range r.ByLength {
-		for _, f := range level {
-			buckets[f.Items.Len()-1] = append(buckets[f.Items.Len()-1], f)
-		}
-	}
-	for _, b := range buckets {
-		sort.Slice(b, func(i, j int) bool { return b[i].Items.Key() < b[j].Items.Key() })
-	}
-	// Drop trailing empty buckets (can appear when only longer-level
-	// survivors existed below the full threshold).
-	for len(buckets) > 0 && len(buckets[len(buckets)-1]) == 0 {
-		buckets = buckets[:len(buckets)-1]
+		buckets[l-1] = level
 	}
 	r.ByLength = buckets
 }
 
-// generateCandidates implements the Apriori join + prune: two frequent
-// k-itemsets sharing their first k−1 items (and with distinct final
-// attributes) join into a (k+1)-candidate, which is kept only if all its
-// k-subsets are frequent.
-func generateCandidates(level []FrequentItemset) []Itemset {
-	frequent := make(map[string]bool, len(level))
-	for _, f := range level {
-		frequent[f.Items.Key()] = true
+// generateCandidates implements the Apriori join + prune over the
+// surviving k-itemsets of one pass, given in key order with keys[i] =
+// level[i].Key(). Two survivors sharing their first k−1 items, with
+// distinct final attributes, join into a (k+1)-candidate, which is kept
+// only if all its k-subsets survived.
+//
+// The keys of the itemsets sharing a (k−1)-prefix P all start with
+// Key(P)+",", and no other k-itemset's key does (that string ends at
+// the key's (k−1)-th comma), so in key order each itemset's join
+// partners follow it contiguously and the inner loop stops at the first
+// prefix mismatch. A candidate determines its pair (its prefix plus its
+// two last items), so no candidate is generated twice.
+func generateCandidates(level []Itemset, keys []string) []Itemset {
+	frequent := make(map[string]struct{}, len(keys))
+	for _, k := range keys {
+		frequent[k] = struct{}{}
 	}
 	var out []Itemset
-	for i := 0; i < len(level); i++ {
-		a := level[i].Items
-		for j := i + 1; j < len(level); j++ {
-			b := level[j].Items
-			if !joinable(a, b) {
-				continue
+	var buf []byte
+	for i, a := range level {
+		last := len(a) - 1
+		for _, b := range level[i+1:] {
+			if !slices.Equal(a[:last], b[:last]) {
+				break
 			}
-			cand := make(Itemset, len(a)+1)
-			copy(cand, a)
-			cand[len(a)] = b[len(b)-1]
-			// Canonical order: the new last item must sort after a's last.
-			if len(a) > 0 && cand[len(a)].Attr < cand[len(a)-1].Attr {
-				cand[len(a)-1], cand[len(a)] = cand[len(a)], cand[len(a)-1]
-			}
-			sort.Slice(cand, func(x, y int) bool { return cand[x].Attr < cand[y].Attr })
-			if cand[len(cand)-1].Attr == cand[len(cand)-2].Attr {
+			x, y := a[last], b[last]
+			if x.Attr == y.Attr {
 				continue // same attribute twice: unsupportable
 			}
-			if !allSubsetsFrequent(cand, frequent) {
-				continue
+			if y.Attr < x.Attr {
+				x, y = y, x
 			}
-			out = append(out, cand)
+			cand := make(Itemset, len(a)+1)
+			copy(cand, a[:last])
+			cand[last], cand[last+1] = x, y
+			if allSubsetsFrequent(cand, frequent, &buf) {
+				out = append(out, cand)
+			}
 		}
 	}
-	// Deduplicate (a pair can be generated from multiple joins after
-	// re-sorting).
-	seen := make(map[string]bool, len(out))
-	dedup := out[:0]
-	for _, c := range out {
-		k := c.Key()
-		if !seen[k] {
-			seen[k] = true
-			dedup = append(dedup, c)
-		}
-	}
-	return dedup
+	return out
 }
 
-func joinable(a, b Itemset) bool {
-	if len(a) != len(b) || len(a) == 0 {
-		return false
-	}
-	for k := 0; k < len(a)-1; k++ {
-		if a[k] != b[k] {
-			return false
+// allSubsetsFrequent is Apriori's prune: it looks up the key of every
+// k-subset of a (k+1)-candidate, built in the reused buffer *buf so the
+// check allocates nothing. The subsets dropping one of the last two
+// items are the two joined survivors themselves and are skipped.
+func allSubsetsFrequent(cand Itemset, frequent map[string]struct{}, buf *[]byte) bool {
+	for drop := 0; drop < len(cand)-2; drop++ {
+		b := cand[:drop].appendKey((*buf)[:0])
+		if drop > 0 {
+			b = append(b, ',')
 		}
-	}
-	return a[len(a)-1] != b[len(b)-1]
-}
-
-func allSubsetsFrequent(cand Itemset, frequent map[string]bool) bool {
-	for _, sub := range cand.Subsets() {
-		if !frequent[sub.Key()] {
+		b = cand[drop+1:].appendKey(b)
+		*buf = b
+		if _, ok := frequent[string(b)]; !ok {
 			return false
 		}
 	}

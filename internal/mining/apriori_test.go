@@ -2,6 +2,7 @@ package mining
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -447,5 +448,116 @@ func TestAprioriMaxLen(t *testing.T) {
 	}
 	if _, err := AprioriWithOptions(&ExactCounter{DB: db}, 0.2, Options{CandidateRelaxation: 1, MaxLen: -1}); !errors.Is(err, ErrMining) {
 		t.Fatal("negative maxlen accepted")
+	}
+}
+
+// TestOutputsSortedByDecimalKey pins the output order where the Key
+// string order and numeric (attribute, value) order disagree: on a
+// 12-attribute schema whose attribute 2 has 12 categories, "10=…" sorts
+// before "2=…" and "2=10" before "2=3". Apriori levels, rules (ties in
+// confidence broken by antecedent then consequent key) and the maximal
+// and closed sets must all come out in Key string order.
+func TestOutputsSortedByDecimalKey(t *testing.T) {
+	if got := (Itemset{{Attr: 2, Value: 10}, {Attr: 10, Value: 3}}).Key(); got != "2=10,10=3" {
+		t.Fatalf("Key() = %q, want %q", got, "2=10,10=3")
+	}
+	attrs := make([]dataset.Attribute, 12)
+	for j := range attrs {
+		cats := 4
+		if j == 2 {
+			cats = 12
+		}
+		attrs[j] = dataset.Attribute{Name: fmt.Sprintf("a%d", j)}
+		for v := 0; v < cats; v++ {
+			attrs[j].Categories = append(attrs[j].Categories, fmt.Sprintf("v%d", v))
+		}
+	}
+	schema, err := dataset.NewSchema("decimal-order", attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Attribute 2 is mostly 10 or 3; attribute 11 is a function of it,
+	// so many rules hold with confidence exactly 1 and tie.
+	rng := rand.New(rand.NewSource(3))
+	db := dataset.NewDatabase(schema, 600)
+	for i := 0; i < 600; i++ {
+		rec := make(dataset.Record, schema.M())
+		for j := range rec {
+			if rng.Float64() < 0.7 {
+				rec[j] = 3
+			} else {
+				rec[j] = rng.Intn(4)
+			}
+		}
+		switch r := rng.Float64(); {
+		case r < 0.5:
+			rec[2] = 10
+		case r < 0.8:
+			rec[2] = 3
+		default:
+			rec[2] = rng.Intn(12)
+		}
+		rec[11] = rec[2] % 4
+		if err := db.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := Apriori(&ExactCounter{DB: db}, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ByLength) < 3 {
+		t.Fatalf("need multi-level data, got %d levels", len(res.ByLength))
+	}
+	numericLess := func(a, b Itemset) bool {
+		for k := range min(len(a), len(b)) {
+			if a[k] != b[k] {
+				return a[k].Attr < b[k].Attr || a[k].Attr == b[k].Attr && a[k].Value < b[k].Value
+			}
+		}
+		return len(a) < len(b)
+	}
+	keysAscending := func(what string, fs []FrequentItemset) {
+		t.Helper()
+		for i := 1; i < len(fs); i++ {
+			if fs[i-1].Items.Key() >= fs[i].Items.Key() {
+				t.Fatalf("%s: %q listed before %q", what, fs[i-1].Items.Key(), fs[i].Items.Key())
+			}
+		}
+	}
+	numericDisagrees := false
+	for l, level := range res.ByLength {
+		keysAscending(fmt.Sprintf("level %d", l+1), level)
+		for i := 1; i < len(level); i++ {
+			numericDisagrees = numericDisagrees || numericLess(level[i].Items, level[i-1].Items)
+		}
+	}
+	if !numericDisagrees {
+		t.Fatal("no level where Key order differs from numeric order; the data does not exercise it")
+	}
+	keysAscending("maximal", Maximal(res))
+	keysAscending("closed", Closed(res, 1e-12))
+
+	rules, err := GenerateRules(res, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ties := 0
+	for i := 1; i < len(rules); i++ {
+		a, b := rules[i-1], rules[i]
+		if a.Confidence != b.Confidence {
+			if a.Confidence < b.Confidence {
+				t.Fatalf("rule %d: confidence %v before %v", i, a.Confidence, b.Confidence)
+			}
+			continue
+		}
+		ties++
+		ak, bk := a.Antecedent.Key(), b.Antecedent.Key()
+		if ak > bk || ak == bk && a.Consequent.Key() >= b.Consequent.Key() {
+			t.Fatalf("tied rules out of key order: %v then %v", a, b)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no confidence ties; the key tie-break is untested")
 	}
 }

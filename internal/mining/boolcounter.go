@@ -42,16 +42,19 @@ type boolCore struct {
 	mb    int   // boolean columns, the stride of cols
 	cards []int // category count per attribute, for rowOf
 
-	mu   sync.RWMutex
-	n    int
-	slot map[uint64]int32 // row bitset → slot
-	rows []uint64         // slot → row bitset
+	mu sync.RWMutex
+	n  int
+	// slot indexes rows (row bitset → slot). A folded snapshot has
+	// none: its rows may repeat, once per source core (see foldInto).
+	slot map[uint64]int32
+	rows []uint64 // slot → row bitset
 	// cols holds the column bitmaps word-major: bit s%64 of
 	// cols[(s/64)*mb+j] is bit j of rows[s].
 	cols []uint64
 	// planes[b][s/64] holds bit b of slot s's multiplicity at bit s%64.
-	// Every slot's count is at least 1, and len(planes) is the bit
-	// length of the largest count.
+	// Every slot's count is at least 1, except a folded snapshot's
+	// padding slots (count 0), and len(planes) is the bit length of the
+	// largest count.
 	planes [][]uint64
 }
 
@@ -99,6 +102,9 @@ func (c *boolCore) words() int { return (len(c.rows) + 63) >> 6 }
 // slotFor returns row's slot, appending a fresh one (count 0, column
 // bits set) on first sight. Called with mu held for writing.
 func (c *boolCore) slotFor(row uint64) int {
+	if c.slot == nil {
+		c.thaw()
+	}
 	if s, ok := c.slot[row]; ok {
 		return int(s)
 	}
@@ -323,8 +329,8 @@ func (c *boolCore) applyCells(cells []DeltaCell, records int) {
 // record count. Called with c's lock held for reading and dst either
 // locked for writing or unshared.
 func (c *boolCore) addSlotsInto(dst *boolCore) {
-	if len(dst.rows) == 0 {
-		// An empty destination copies the layout wholesale.
+	if len(dst.rows) == 0 && c.slot != nil {
+		// An empty destination copies an indexed layout wholesale.
 		dst.slot = maps.Clone(c.slot)
 		dst.rows = slices.Clone(c.rows)
 		dst.cols = slices.Clone(c.cols)
@@ -336,16 +342,55 @@ func (c *boolCore) addSlotsInto(dst *boolCore) {
 		return
 	}
 	for s, row := range c.rows {
-		dst.add(dst.slotFor(row), c.count(s))
+		if k := c.count(s); k != 0 { // a folded core's padding counts 0
+			dst.add(dst.slotFor(row), k)
+		}
 	}
 	dst.n += c.n
 }
 
-// foldInto adds this core's state into dst (a fresh unshared core).
+// foldInto appends this core's slots to dst, a snapshot being folded
+// from one or more cores: c's rows, column words and bit-planes are
+// copied in starting at dst's next 64-slot word boundary, with no
+// per-row work. The slots skipped to reach the boundary are padding —
+// row 0 with no column or plane bits, a count of 0 that no gather
+// sees — and whichever plane stack is shorter is zero-extended. A row
+// present in several source cores keeps one slot per source; every
+// read sums over slots, so the folded core still counts it exactly.
+// dst is left without a slot index (a snapshot is only read; see
+// thaw).
 func (c *boolCore) foldInto(dst CounterCore) {
+	d := dst.(*boolCore)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	c.addSlotsInto(dst.(*boolCore))
+	d.slot = nil
+	d.n += c.n
+	if len(c.rows) == 0 {
+		return
+	}
+	w0, nw := d.words(), c.words()
+	d.rows = append(d.rows, make([]uint64, w0<<6-len(d.rows))...)
+	d.rows = append(d.rows, c.rows...)
+	d.cols = append(d.cols, c.cols...)
+	for b := range max(len(d.planes), len(c.planes)) {
+		if b == len(d.planes) {
+			d.planes = append(d.planes, make([]uint64, w0, w0+nw))
+		}
+		if b < len(c.planes) {
+			d.planes[b] = append(d.planes[b], c.planes[b]...)
+		} else {
+			d.planes[b] = append(d.planes[b], make([]uint64, nw)...)
+		}
+	}
+}
+
+// thaw gives a folded core back its slot index before a write: the
+// slots are re-added into a fresh layout, merging a row's per-source
+// slots and dropping padding. Called with mu held for writing.
+func (c *boolCore) thaw() {
+	t := newBoolCore(c.est)
+	c.addSlotsInto(t)
+	c.slot, c.rows, c.cols, c.planes = t.slot, t.rows, t.cols, t.planes
 }
 
 // addJointInto folds the sparse joint histogram into the accumulator.
@@ -353,7 +398,9 @@ func (c *boolCore) addJointInto(joint map[uint64]float64) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for s, row := range c.rows {
-		joint[row] += float64(c.count(s))
+		if k := c.count(s); k != 0 { // a folded core's padding counts 0
+			joint[row] += float64(k)
+		}
 	}
 	return c.n
 }

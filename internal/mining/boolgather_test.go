@@ -346,3 +346,150 @@ func TestBoolCellCountsMustBeIntegers(t *testing.T) {
 		}
 	}
 }
+
+// TestBoolFoldLayoutMatchesSingle folds cores holding 1, 63, 64 and 65
+// slots, so each appended core starts a fresh word after 0, 63, 1 and
+// 0 padding slots. Their counts need different plane heights (1 beside
+// 2^k−1, the tallest stack in the first core), and some rows repeat
+// across cores, so the folded core holds them once per source. The
+// sharded and the windowed full-ring snapshots must count, estimate and
+// mine exactly like one core holding every row, carry no zero-count
+// cell in their joint histogram, and become a normal core again on a
+// write.
+func TestBoolFoldLayoutMatchesSingle(t *testing.T) {
+	sizes := []int{1, 63, 64, 65}
+	heights := []int{20, 1, 10, 30} // plane height of each core's even cells
+	for _, schema := range []*dataset.Schema{deltaTestSchema(t), wideBinarySchema(t)} {
+		for _, scheme := range boolSchemes(t, schema) {
+			t.Run(schema.Name+"/"+scheme.Name(), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(5))
+				single := scheme.NewCore().(*boolCore)
+				sharded, err := NewShardedCounter(scheme, len(sizes))
+				if err != nil {
+					t.Fatal(err)
+				}
+				clock := time.Unix(1_700_000_000, 0)
+				windowed, err := NewWindowedCounter(scheme, 1, len(sizes), time.Minute)
+				if err != nil {
+					t.Fatal(err)
+				}
+				windowed.SetNowFunc(func() time.Time { return clock })
+				var seen []uint64
+				for i, size := range sizes {
+					var cells []DeltaCell
+					inCore := make(map[uint64]bool)
+					for len(cells) < size {
+						row := rng.Uint64() & (1<<uint(single.mb) - 1)
+						if len(seen) > 0 && rng.Intn(4) == 0 {
+							row = seen[rng.Intn(len(seen))]
+						}
+						if inCore[row] {
+							continue
+						}
+						inCore[row] = true
+						seen = append(seen, row)
+						cnt := 1.0
+						if len(cells)%2 == 0 {
+							cnt = float64(uint64(1)<<uint(heights[i]) - 1)
+						}
+						cells = append(cells, DeltaCell{Idx: row, Count: cnt})
+					}
+					d := &CounterDelta{Fingerprint: single.Fingerprint(), Records: cellsRecords(cells), Cells: cells}
+					for _, c := range []CounterCore{single, sharded.shards[i], windowed.ring[i].shards[0]} {
+						if err := c.ApplyDelta(d); err != nil {
+							t.Fatal(err)
+						}
+					}
+					sharded.total.Add(int64(d.Records))
+					sharded.version.Add(uint64(d.Records))
+				}
+				if len(seen) == len(coreCells(single)) {
+					t.Fatal("no row repeats across cores")
+				}
+
+				var cands []Itemset
+				for l := 0; l <= min(schema.M(), 8); l++ {
+					for r := 0; r < 4; r++ {
+						cands = append(cands, randomItemset(schema, l, rng))
+					}
+				}
+				wantCells := coreCells(single)
+				wantCounts := gatherCounts(t, single, cands)
+				wantSup, err := single.Supports(cands)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := Options{CandidateRelaxation: 1, MaxLen: 3}
+				wantMine, err := AprioriWithOptions(single, 0.05, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				if len(wantMine.ByLength) < 2 {
+					t.Fatalf("mine found levels %v; need at least two", wantMine.Counts())
+				}
+				shardSnap, _ := sharded.SnapshotVersioned()
+				ringSnap, _ := windowed.SnapshotWindowVersioned(0)
+				if got := len(shardSnap.(*boolCore).rows); got != 3*64+65 {
+					t.Fatalf("sharded snapshot holds %d slots, want %d (each core from a word boundary)", got, 3*64+65)
+				}
+				for name, snap := range map[string]*boolCore{"sharded": shardSnap.(*boolCore), "windowed": ringSnap.(*boolCore)} {
+					if snap.N() != single.N() {
+						t.Fatalf("%s snapshot N = %d, want %d", name, snap.N(), single.N())
+					}
+					if !reflect.DeepEqual(gatherCounts(t, snap, cands), wantCounts) {
+						t.Fatalf("%s snapshot pattern counts differ from the single core", name)
+					}
+					sup, err := snap.Supports(cands)
+					if err != nil || !reflect.DeepEqual(sup, wantSup) {
+						t.Fatalf("%s snapshot supports differ from the single core (err %v)", name, err)
+					}
+					mine, err := AprioriWithOptions(snap, 0.05, opts)
+					if err != nil || !reflect.DeepEqual(mine, wantMine) {
+						t.Fatalf("%s snapshot mines differently from the single core (err %v)", name, err)
+					}
+					if got := coreCells(snap); !reflect.DeepEqual(got, wantCells) {
+						t.Fatalf("%s snapshot joint histogram differs from the single core (zero-count padding?)", name)
+					}
+				}
+				d, err := sharded.DeltaSince(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cell := range d.Cells {
+					if cell.Count == 0 {
+						t.Fatalf("DeltaSince(0) carries a zero-count cell at %d", cell.Idx)
+					}
+				}
+				if got := sortedCells(cellsMap(d.Cells)); !reflect.DeepEqual(got, wantCells) || d.Records != single.N() {
+					t.Fatal("DeltaSince(0) after snapshotting differs from the single core")
+				}
+
+				// A write thaws the snapshot into an indexed core: one slot
+				// per distinct row, counting like the single core.
+				snap := shardSnap.(*boolCore)
+				row := seen[0]
+				for _, c := range []*boolCore{single, snap} {
+					if err := c.Ingest(rowItems(c.est.mapping(), row)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if snap.slot == nil || len(snap.rows) != len(snap.slot) || len(snap.rows) != len(single.rows) {
+					t.Fatalf("written snapshot holds %d slots for %d distinct rows", len(snap.rows), len(single.rows))
+				}
+				if !reflect.DeepEqual(coreCells(snap), coreCells(single)) || !reflect.DeepEqual(gatherCounts(t, snap, cands), gatherCounts(t, single, cands)) {
+					t.Fatal("written snapshot counts differ from the single core")
+				}
+			})
+		}
+	}
+}
+
+// cellsMap sums delta cells into a joint histogram.
+func cellsMap(cells []DeltaCell) map[uint64]float64 {
+	joint := make(map[uint64]float64, len(cells))
+	for _, c := range cells {
+		joint[c.Idx] += c.Count
+	}
+	return joint
+}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dataset"
@@ -48,16 +49,25 @@ func NewItemset(items ...Item) (Itemset, error) {
 // Len returns the itemset length.
 func (s Itemset) Len() int { return len(s) }
 
-// Key returns a canonical string key for maps.
+// Key returns a canonical string key for maps, e.g. "0=1,10=3". Result
+// lists are sorted by this string, so its decimal order is the output
+// order.
 func (s Itemset) Key() string {
-	var sb strings.Builder
+	return string(s.appendKey(make([]byte, 0, 8*len(s))))
+}
+
+// appendKey appends the itemset's Key to b — the allocation-free form
+// for lookups and sorts that would otherwise build one string per call.
+func (s Itemset) appendKey(b []byte) []byte {
 	for i, it := range s {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%d=%d", it.Attr, it.Value)
+		b = strconv.AppendInt(b, int64(it.Attr), 10)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(it.Value), 10)
 	}
-	return sb.String()
+	return b
 }
 
 // Attrs returns the attribute positions, in order.

@@ -1,7 +1,5 @@
 package mining
 
-import "sort"
-
 // Lattice utilities over a mining result: maximal and closed frequent
 // itemsets, the standard condensed representations of the frequent-set
 // lattice. Both operate purely on the Result, so they apply equally to
@@ -12,23 +10,22 @@ import "sort"
 // frequent lattice's boundary — for reconstructed results they are the
 // longest patterns the perturbation mechanism could recover.
 func Maximal(res *Result) []FrequentItemset {
-	all := res.All()
 	var out []FrequentItemset
 	for _, level := range res.ByLength {
 		for _, f := range level {
-			if !hasFrequentSuperset(f.Items, res, all) {
+			if !hasFrequentSuperset(f.Items, res) {
 				out = append(out, f)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Items.Key() < out[j].Items.Key() })
+	sortByKey(out)
 	return out
 }
 
 // hasFrequentSuperset reports whether any frequent itemset one longer
 // extends s. Supersets are found by scanning the next level (cheap: the
 // levels are small relative to subset enumeration).
-func hasFrequentSuperset(s Itemset, res *Result, all map[string]FrequentItemset) bool {
+func hasFrequentSuperset(s Itemset, res *Result) bool {
 	nextLen := s.Len() + 1
 	if nextLen > len(res.ByLength) {
 		return false
@@ -47,7 +44,6 @@ func hasFrequentSuperset(s Itemset, res *Result, all map[string]FrequentItemset)
 			}
 		}
 	}
-	_ = all
 	return false
 }
 
@@ -90,7 +86,7 @@ func Closed(res *Result, tol float64) []FrequentItemset {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Items.Key() < out[j].Items.Key() })
+	sortByKey(out)
 	return out
 }
 

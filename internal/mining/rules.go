@@ -1,8 +1,10 @@
 package mining
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Rule is an association rule A ⇒ C with its support (fraction of records
@@ -42,7 +44,14 @@ func GenerateRules(res *Result, minConf float64) ([]Rule, error) {
 			supports[f.Items.Key()] = f.Support
 		}
 	}
-	var rules []Rule
+	// Rules are sorted on keys built once per emitted rule; antecedent
+	// lookups reuse one key buffer.
+	type keyedRule struct {
+		ante, cons string
+		rule       Rule
+	}
+	var keyed []keyedRule
+	var buf []byte
 	for k := 1; k < len(res.ByLength); k++ { // itemsets of length ≥ 2
 		for _, f := range res.ByLength[k] {
 			full := f.Items
@@ -56,7 +65,8 @@ func GenerateRules(res *Result, minConf float64) ([]Rule, error) {
 						cons = append(cons, it)
 					}
 				}
-				anteSup, ok := supports[ante.Key()]
+				buf = ante.appendKey(buf[:0])
+				anteSup, ok := supports[string(buf)]
 				if !ok || anteSup <= 0 {
 					continue // antecedent not frequent (or reconstruction noise)
 				}
@@ -65,28 +75,32 @@ func GenerateRules(res *Result, minConf float64) ([]Rule, error) {
 					continue // reconstruction-noise artifact; see doc comment
 				}
 				if conf >= minConf {
-					r := Rule{
+					kr := keyedRule{ante: string(buf), cons: cons.Key(), rule: Rule{
 						Antecedent: ante,
 						Consequent: cons,
 						Support:    f.Support,
 						Confidence: conf,
+					}}
+					if consSup, ok := supports[kr.cons]; ok && consSup > 0 {
+						kr.rule.Lift = conf / consSup
 					}
-					if consSup, ok := supports[cons.Key()]; ok && consSup > 0 {
-						r.Lift = conf / consSup
-					}
-					rules = append(rules, r)
+					keyed = append(keyed, kr)
 				}
 			}
 		}
 	}
-	sort.Slice(rules, func(i, j int) bool {
-		if rules[i].Confidence != rules[j].Confidence {
-			return rules[i].Confidence > rules[j].Confidence
+	slices.SortFunc(keyed, func(a, b keyedRule) int {
+		if c := cmp.Compare(b.rule.Confidence, a.rule.Confidence); c != 0 {
+			return c
 		}
-		if rules[i].Antecedent.Key() != rules[j].Antecedent.Key() {
-			return rules[i].Antecedent.Key() < rules[j].Antecedent.Key()
+		if c := strings.Compare(a.ante, b.ante); c != 0 {
+			return c
 		}
-		return rules[i].Consequent.Key() < rules[j].Consequent.Key()
+		return strings.Compare(a.cons, b.cons)
 	})
+	var rules []Rule
+	for _, kr := range keyed {
+		rules = append(rules, kr.rule)
+	}
 	return rules, nil
 }
